@@ -25,19 +25,6 @@ std::vector<exec::LaunchDomain> build_rank_domains(const grid::Partitioner& part
   return doms;
 }
 
-void accumulate(ReliabilityCounters& into, const ReliabilityCounters& c) {
-  into.reliable_sends += c.reliable_sends;
-  into.retransmits += c.retransmits;
-  into.corrupt_detected += c.corrupt_detected;
-  into.dups_dropped += c.dups_dropped;
-  into.reorders_healed += c.reorders_healed;
-  into.drops_injected += c.drops_injected;
-  into.dups_injected += c.dups_injected;
-  into.reorders_injected += c.reorders_injected;
-  into.corrupts_injected += c.corrupts_injected;
-  into.delays_injected += c.delays_injected;
-}
-
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -344,7 +331,7 @@ bool ElasticRuntime::do_resize(int target, const char* trigger, ElasticReport& r
 
   // Re-roster: tear down the epoch's runtime, recompute tile ownership,
   // rebuild per-rank catalogs, scatter the global snapshot onto them.
-  accumulate(report.channel, rt_->comm().reliability());
+  report.channel += rt_->comm().reliability();
   rt_.reset();
   rebuild_roster(target);
   store_.set_roster(*part_);
@@ -455,7 +442,7 @@ ElasticReport ElasticRuntime::run(int nsteps) {
   }
 
   report.steps_completed = global_step_;
-  accumulate(report.channel, rt_->comm().reliability());
+  report.channel += rt_->comm().reliability();
   report.health = rt_->rank_health();
   return report;
 }

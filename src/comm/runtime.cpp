@@ -75,18 +75,33 @@ void run_halo_node(const HaloUpdater& halo, const ir::SNode& node,
   }
 }
 
-void run_lockstep_step(const ir::Program& program, const HaloUpdater& halo,
-                       std::vector<RankDomain>& ranks, Comm& comm) {
-  CY_REQUIRE_MSG(static_cast<int>(ranks.size()) == halo.partitioner().num_ranks(),
-                 "rank count mismatch");
-  for (int sidx : program.flatten_execution_order()) {
-    const ir::State& st = program.states()[static_cast<size_t>(sidx)];
-    if (is_halo_only(st)) {
-      for (const auto& node : st.nodes) run_halo_node(halo, node, ranks, comm);
+void run_lockstep_step(std::span<const LockstepMember> members) {
+  if (members.empty()) return;
+  for (const LockstepMember& m : members) {
+    CY_REQUIRE_MSG(static_cast<int>(m.ranks->size()) == m.halo->partitioner().num_ranks(),
+                   "rank count mismatch");
+  }
+  const ir::Program& lead = *members.front().program;
+  for (int sidx : lead.flatten_execution_order()) {
+    const auto state = static_cast<size_t>(sidx);
+    if (is_halo_only(lead.states()[state])) {
+      for (const LockstepMember& m : members) {
+        for (const auto& node : m.program->states()[state].nodes) {
+          run_halo_node(*m.halo, node, *m.ranks, *m.comm);
+        }
+      }
       continue;
     }
-    for (auto& rd : ranks) program.execute_state(sidx, *rd.catalog, rd.dom);
+    for (const LockstepMember& m : members) {
+      for (auto& rd : *m.ranks) m.program->execute_state(sidx, *rd.catalog, rd.dom);
+    }
   }
+}
+
+void run_lockstep_step(const ir::Program& program, const HaloUpdater& halo,
+                       std::vector<RankDomain>& ranks, Comm& comm) {
+  const LockstepMember one{&program, &halo, &ranks, &comm};
+  run_lockstep_step({&one, 1});
 }
 
 // --- Overlap analysis -------------------------------------------------------

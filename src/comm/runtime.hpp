@@ -3,6 +3,7 @@
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -132,11 +133,29 @@ struct RunReport {
 /// per-rank health table included) for verify_pipeline and log scraping.
 std::string run_report_to_json(const RunReport& report);
 
-/// Execute one program pass over all ranks with the sequential phase-based
-/// scheduler: compute states run per rank in rank order; halo-only states
-/// run as collective exchanges through `comm`. This is the lockstep
-/// reference the concurrent runtime is verified bitwise against (and the
-/// loop fv3::DistributedModel::step used to inline).
+/// One member of a lockstep pass: its own program copy (executor pointer
+/// caches and JIT handles stay per member), halo updater, ranks and comm.
+struct LockstepMember {
+  const ir::Program* program = nullptr;
+  const HaloUpdater* halo = nullptr;
+  std::vector<RankDomain>* ranks = nullptr;
+  Comm* comm = nullptr;
+};
+
+/// Execute one program pass with the sequential phase-based scheduler:
+/// compute states run per rank in rank order; halo-only states run as
+/// collective exchanges through each member's comm. This is the lockstep
+/// reference the concurrent runtime is verified bitwise against.
+///
+/// Several members (the batched ensemble) advance in one pass: state loop
+/// outer, member loop inner, so each scheduled stencil sweep advances every
+/// member while its code is hot. All members must run the same program
+/// shape. Each member executes the same states in the same order as a
+/// one-member pass would, so its store sequence — and its result — is
+/// bitwise identical to running it alone.
+void run_lockstep_step(std::span<const LockstepMember> members);
+
+/// The one-member pass (Model::step in Lockstep mode).
 void run_lockstep_step(const ir::Program& program, const HaloUpdater& halo,
                        std::vector<RankDomain>& ranks, Comm& comm);
 
@@ -146,9 +165,7 @@ void run_halo_node(const HaloUpdater& halo, const ir::SNode& node,
                    std::vector<RankDomain>& ranks, Comm& comm);
 
 /// Whether every node of a state is a halo exchange (such states run as
-/// collective exchanges; anything else executes per rank). Exposed so other
-/// schedulers — the ensemble runtime's batched member sweep — can mirror the
-/// lockstep loop structure exactly.
+/// collective exchanges; anything else executes per rank).
 bool is_halo_only(const ir::State& st);
 
 /// Whether (and how deep) a state's launch may be split into an interior

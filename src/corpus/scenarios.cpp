@@ -5,9 +5,7 @@
 #include "ensemble/ensemble.hpp"
 #include "ensemble/service.hpp"
 #include "fv3/driver.hpp"
-#include "fv3/init/baroclinic.hpp"
 #include "swe/driver.hpp"
-#include "swe/init.hpp"
 
 namespace cyclone::corpus {
 
@@ -91,57 +89,16 @@ void advance(Model& model, const std::string& scenario, const BackendSpec& spec,
   for (int s = 0; s < steps; ++s) model.step();
 }
 
+/// Run one committed solo scenario on a corpus backend.
 template <typename Model>
-verify::ScenarioResult assemble(Model& model, const std::vector<std::string>& fields) {
-  std::vector<verify::RankView> views;
-  for (int r = 0; r < model.num_ranks(); ++r) {
-    const grid::RankInfo info = model.partitioner().info(r);
-    views.push_back(verify::RankView{&model.state(r).catalog(), info.tile, info.i0, info.j0,
-                                     info.ni, info.nj});
-  }
-  verify::ScenarioResult result;
-  for (const std::string& name : fields) {
-    result.fields.push_back(
-        verify::assemble_field(name, grid::kNumFaces, model.partitioner().n(), views));
-  }
-  return result;
-}
-
-verify::ScenarioResult run_swe_scenario(const std::string& scenario, const swe::SweConfig& cfg,
-                                        const std::string& ic, int steps,
-                                        const std::string& backend) {
+verify::ScenarioResult run_scenario(const std::string& scenario, const typename Model::Config& cfg,
+                                    const std::string& ic, int steps,
+                                    const std::string& backend) {
   const BackendSpec spec = parse_backend_spec(backend);
-  swe::SweModel model(cfg, spec.ranks);
-  if (ic == "hill") {
-    swe::init_gaussian_hill(model);
-  } else if (ic == "vortex") {
-    swe::init_vortex(model);
-  } else if (ic == "jet") {
-    swe::init_zonal_flow(model);
-  } else {
-    throw Error("unknown SWE initial condition '" + ic + "'");
-  }
+  Model model(cfg, spec.ranks);
+  model.init(ic);
   advance(model, scenario, spec, steps);
-  return assemble(model, swe::SweState::prognostic_names(cfg.ntracers));
-}
-
-verify::ScenarioResult run_dycore_scenario(const std::string& scenario,
-                                           const fv3::FvConfig& cfg, const std::string& ic,
-                                           int steps, const std::string& backend) {
-  const BackendSpec spec = parse_backend_spec(backend);
-  fv3::DistributedModel model(cfg, spec.ranks);
-  if (ic == "baro") {
-    fv3::init_baroclinic(model);
-  } else if (ic == "solid") {
-    for (int r = 0; r < model.num_ranks(); ++r) {
-      fv3::init_solid_body(model.state(r), model.partitioner());
-    }
-    model.exchange_prognostics();
-  } else {
-    throw Error("unknown dycore initial condition '" + ic + "'");
-  }
-  advance(model, scenario, spec, steps);
-  return assemble(model, fv3::ModelState::prognostic_names(cfg.ntracers));
+  return verify::ScenarioResult{model.assemble()};
 }
 
 /// Fixed perturbation seed of the committed ensemble scenarios: the goldens
@@ -155,9 +112,10 @@ constexpr uint64_t kEnsembleCorpusSeed = 0x5EEDC0DEull;
 /// resilient runtime. Member k's fields are recorded as "m<k>.<name>" so one
 /// golden snapshot pins every member.
 template <typename Model>
-verify::ScenarioResult run_ensemble_scenario(
-    const std::string& scenario, const typename ensemble::ModelTraits<Model>::Config& cfg,
-    const std::string& ic, int members, int steps, const std::string& backend) {
+verify::ScenarioResult run_ensemble_scenario(const std::string& scenario,
+                                             const typename Model::Config& cfg,
+                                             const std::string& ic, int members, int steps,
+                                             const std::string& backend) {
   const BackendSpec spec = parse_backend_spec(backend);
   ensemble::EnsembleOptions opts;
   opts.members = ensemble::default_members(kEnsembleCorpusSeed, members);
@@ -175,11 +133,8 @@ verify::ScenarioResult run_ensemble_scenario(
     runner.run(steps);
   }
   verify::ScenarioResult result;
-  const std::vector<std::string> prognostics = ensemble::ModelTraits<Model>::prognostics(cfg);
   for (int m = 0; m < runner.members(); ++m) {
-    Model& model = runner.member(m);
-    verify::ScenarioResult one = assemble(model, prognostics);
-    for (verify::GoldenField& field : one.fields) {
+    for (verify::GoldenField& field : runner.member(m).assemble()) {
       field.name = "m" + std::to_string(m) + "." + field.name;
       result.fields.push_back(std::move(field));
     }
@@ -187,78 +142,44 @@ verify::ScenarioResult run_ensemble_scenario(
   return result;
 }
 
-verify::Scenario ensemble_swe_scenario(const std::string& ic, int npx, int ntracers,
-                                       int members, int steps) {
-  const swe::SweConfig cfg = ensemble::standard_swe_config(npx, ntracers);
+/// One registry entry of `Model`'s core on grid `grid`: a solo run named
+/// "<core>_<grid>_<ic>_t<tracers>", or with `members` > 0 a batched
+/// ensemble named "ens_<core>_<grid>_<ic>_m<members>".
+template <typename Model>
+verify::Scenario scenario(const typename Model::Config& cfg, const std::string& grid,
+                          const std::string& ic, int steps, int members = 0) {
   verify::Scenario sc;
-  sc.name = "ens_swe_c" + std::to_string(npx) + "_" + ic + "_m" + std::to_string(members);
-  sc.core = "swe";
+  sc.core = Model::core_name;
   sc.ic = ic;
-  sc.grid = "c" + std::to_string(npx);
+  sc.grid = grid;
   sc.steps = steps;
-  sc.tracers = ntracers;
-  sc.run = [sc_name = sc.name, cfg, ic, members, steps](const std::string& backend) {
-    return run_ensemble_scenario<swe::SweModel>(sc_name, cfg, ic, members, steps, backend);
-  };
+  sc.tracers = cfg.ntracers;
+  sc.name = sc.core + "_" + grid + "_" + ic;
+  if (members > 0) {
+    sc.name = "ens_" + sc.name + "_m" + std::to_string(members);
+    sc.run = [sc_name = sc.name, cfg, ic, members, steps](const std::string& backend) {
+      return run_ensemble_scenario<Model>(sc_name, cfg, ic, members, steps, backend);
+    };
+  } else {
+    sc.name += "_t" + std::to_string(cfg.ntracers);
+    sc.run = [sc_name = sc.name, cfg, ic, steps](const std::string& backend) {
+      return run_scenario<Model>(sc_name, cfg, ic, steps, backend);
+    };
+  }
   return sc;
 }
 
-verify::Scenario ensemble_dycore_scenario(const std::string& ic, int npx, int npz, int ntracers,
-                                          int members, int steps) {
-  const fv3::FvConfig cfg = ensemble::standard_dycore_config(npx, npz, ntracers);
-  verify::Scenario sc;
-  sc.name = "ens_dycore_c" + std::to_string(npx) + "z" + std::to_string(npz) + "_" + ic + "_m" +
-            std::to_string(members);
-  sc.core = "dycore";
-  sc.ic = ic;
-  sc.grid = "c" + std::to_string(npx) + "z" + std::to_string(npz);
-  sc.steps = steps;
-  sc.tracers = ntracers;
-  sc.run = [sc_name = sc.name, cfg, ic, members, steps](const std::string& backend) {
-    return run_ensemble_scenario<fv3::DistributedModel>(sc_name, cfg, ic, members, steps,
-                                                        backend);
-  };
-  return sc;
-}
-
-verify::Scenario swe_scenario(const std::string& ic, int npx, int ntracers, int steps) {
-  swe::SweConfig cfg;
-  cfg.npx = npx;
-  cfg.ntracers = ntracers;
-  verify::Scenario sc;
-  sc.name = "swe_c" + std::to_string(npx) + "_" + ic + "_t" + std::to_string(ntracers);
-  sc.core = "swe";
-  sc.ic = ic;
-  sc.grid = "c" + std::to_string(npx);
-  sc.steps = steps;
-  sc.tracers = ntracers;
-  sc.run = [sc_name = sc.name, cfg, ic, steps](const std::string& backend) {
-    return run_swe_scenario(sc_name, cfg, ic, steps, backend);
-  };
-  return sc;
+verify::Scenario swe_scenario(const std::string& ic, int npx, int ntracers, int steps,
+                              int members = 0) {
+  return scenario<swe::SweModel>(ensemble::standard_swe_config(npx, ntracers),
+                                 "c" + std::to_string(npx), ic, steps, members);
 }
 
 verify::Scenario dycore_scenario(const std::string& ic, int npx, int npz, int ntracers,
-                                 int steps) {
-  fv3::FvConfig cfg;
-  cfg.npx = npx;
-  cfg.npz = npz;
-  cfg.k_split = 1;
-  cfg.n_split = 2;
-  cfg.ntracers = ntracers;
-  cfg.dt = 300.0;
-  verify::Scenario sc;
-  sc.name = "dycore_c" + std::to_string(npx) + "z" + std::to_string(npz) + "_" + ic + "_t" +
-            std::to_string(ntracers);
-  sc.core = "dycore";
-  sc.ic = ic;
-  sc.grid = "c" + std::to_string(npx) + "z" + std::to_string(npz);
-  sc.steps = steps;
-  sc.tracers = ntracers;
-  sc.run = [sc_name = sc.name, cfg, ic, steps](const std::string& backend) {
-    return run_dycore_scenario(sc_name, cfg, ic, steps, backend);
-  };
-  return sc;
+                                 int steps, int members = 0) {
+  return scenario<fv3::DistributedModel>(
+      ensemble::standard_dycore_config(npx, npz, ntracers),
+      "c" + std::to_string(npx) + "z" + std::to_string(npz), ic, steps, members);
 }
 
 }  // namespace
@@ -287,8 +208,8 @@ std::vector<verify::Scenario> standard_scenarios() {
   // configurations): member-prefixed goldens pin the perturbation streams
   // and the batched runtime, and the concurrent24 backend doubles as the
   // ensemble decomposition-invariance pin.
-  registry.push_back(ensemble_swe_scenario("hill", 12, 2, 4, 2));
-  registry.push_back(ensemble_dycore_scenario("baro", 12, 4, 1, 4, 2));
+  registry.push_back(swe_scenario("hill", 12, 2, 2, /*members=*/4));
+  registry.push_back(dycore_scenario("baro", 12, 4, 1, 2, /*members=*/4));
 
   return registry;
 }

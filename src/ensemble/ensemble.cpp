@@ -1,7 +1,6 @@
 #include "ensemble/ensemble.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "core/util/rng.hpp"
 
@@ -15,21 +14,6 @@ std::vector<MemberSpec> default_members(uint64_t seed, int count) {
   return members;
 }
 
-namespace {
-
-template <class Model>
-std::unique_ptr<Model> make_member(const typename ModelTraits<Model>::Config& config,
-                                   int num_ranks,
-                                   const std::function<FieldPlacer(int)>& placers) {
-  if constexpr (std::is_same_v<Model, fv3::DistributedModel>) {
-    return std::make_unique<Model>(config, num_ranks, fv3::DycoreSchedules::tuned(), placers);
-  } else {
-    return std::make_unique<Model>(config, num_ranks, swe::SweSchedules::tuned(), placers);
-  }
-}
-
-}  // namespace
-
 template <class Model>
 EnsembleRunner<Model>::EnsembleRunner(const Config& config, EnsembleOptions options)
     : config_(config),
@@ -38,10 +22,10 @@ EnsembleRunner<Model>::EnsembleRunner(const Config& config, EnsembleOptions opti
   CY_REQUIRE_MSG(!options_.members.empty(), "ensemble needs at least one member");
   const int n = members();
   models_.reserve(static_cast<size_t>(n));
-  domains_.reserve(static_cast<size_t>(n));
   for (int m = 0; m < n; ++m) {
     auto placers = [this, m](int rank) { return arena_.placer(m, rank); };
-    models_.push_back(make_member<Model>(config_, options_.num_ranks, placers));
+    models_.push_back(std::make_unique<Model>(config_, options_.num_ranks,
+                                              Model::Schedules::tuned(), placers));
     Model& model = *models_.back();
     model.set_run_options(options_.run);
     comm::RuntimeOptions runtime = options_.runtime;
@@ -50,12 +34,6 @@ EnsembleRunner<Model>::EnsembleRunner(const Config& config, EnsembleOptions opti
     if (options_.scheduler == EnsembleOptions::Scheduler::Concurrent) {
       model.set_exec_mode(Model::ExecMode::Concurrent);
     }
-    std::vector<comm::RankDomain> ranks;
-    ranks.reserve(static_cast<size_t>(model.num_ranks()));
-    for (int r = 0; r < model.num_ranks(); ++r) {
-      ranks.push_back(comm::RankDomain{&model.state(r).catalog(), model.state(r).domain()});
-    }
-    domains_.push_back(std::move(ranks));
   }
 }
 
@@ -75,39 +53,16 @@ void EnsembleRunner<Model>::step() {
     for (int m = 0; m < n; ++m) models_[static_cast<size_t>(m)]->step();
   } else {
     const int chunk = options_.run.member_batch > 0 ? options_.run.member_batch : n;
-    for (int lo = 0; lo < n; lo += chunk) step_chunk(lo, std::min(lo + chunk, n));
+    std::vector<comm::LockstepMember> batch;
+    for (int lo = 0; lo < n; lo += chunk) {
+      batch.clear();
+      for (int m = lo; m < std::min(lo + chunk, n); ++m) {
+        batch.push_back(models_[static_cast<size_t>(m)]->lockstep_member());
+      }
+      comm::run_lockstep_step(batch);
+    }
   }
   member_steps_ += n;
-}
-
-/// The batched sweep: one pass of the lockstep scheduler with a member loop
-/// folded inside every phase. Mirrors comm::run_lockstep_step exactly —
-/// each member executes the same states in the same order against its own
-/// program copy (executor pointer caches and JIT handles stay per member),
-/// so every member's store sequence is identical to its solo run and the
-/// batched result is bitwise equal by construction.
-template <class Model>
-void EnsembleRunner<Model>::step_chunk(int mlo, int mhi) {
-  const ir::Program& program = models_[static_cast<size_t>(mlo)]->program();
-  for (int sidx : program.flatten_execution_order()) {
-    const ir::State& st = program.states()[static_cast<size_t>(sidx)];
-    if (comm::is_halo_only(st)) {
-      for (int m = mlo; m < mhi; ++m) {
-        Model& model = *models_[static_cast<size_t>(m)];
-        for (const auto& node : st.nodes) {
-          comm::run_halo_node(model.halo_updater(), node, domains_[static_cast<size_t>(m)],
-                              model.comm());
-        }
-      }
-      continue;
-    }
-    for (int m = mlo; m < mhi; ++m) {
-      Model& model = *models_[static_cast<size_t>(m)];
-      for (auto& rd : domains_[static_cast<size_t>(m)]) {
-        model.program().execute_state(sidx, *rd.catalog, rd.dom);
-      }
-    }
-  }
 }
 
 template <class Model>
@@ -129,16 +84,7 @@ comm::RunReport EnsembleRunner<Model>::run_resilient(int steps) {
     aggregate.restarts += report.restarts;
     aggregate.checkpoints += report.checkpoints;
     aggregate.rolled_back_steps += report.rolled_back_steps;
-    aggregate.channel.reliable_sends += report.channel.reliable_sends;
-    aggregate.channel.retransmits += report.channel.retransmits;
-    aggregate.channel.corrupt_detected += report.channel.corrupt_detected;
-    aggregate.channel.dups_dropped += report.channel.dups_dropped;
-    aggregate.channel.reorders_healed += report.channel.reorders_healed;
-    aggregate.channel.drops_injected += report.channel.drops_injected;
-    aggregate.channel.dups_injected += report.channel.dups_injected;
-    aggregate.channel.reorders_injected += report.channel.reorders_injected;
-    aggregate.channel.corrupts_injected += report.channel.corrupts_injected;
-    aggregate.channel.delays_injected += report.channel.delays_injected;
+    aggregate.channel += report.channel;
     member_steps_ += report.steps_completed;
   }
   return aggregate;

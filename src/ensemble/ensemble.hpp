@@ -26,11 +26,11 @@ struct EnsembleOptions {
   /// Engine options for every member (backend, threads, member_batch).
   exec::RunOptions run{};
   /// How step() schedules members:
-  ///  - Batched: one lockstep pass interleaves all members — state loop
-  ///    outer, member loop inner — so each scheduled stencil sweep advances
-  ///    every member while its code and the members' adjacent arena blocks
-  ///    are hot (run.member_batch chunks the member loop for cache
-  ///    blocking; results are bitwise identical for every chunk size).
+  ///  - Batched: one comm::run_lockstep_step pass over all members — state
+  ///    loop outer, member loop inner — so each scheduled stencil sweep
+  ///    advances every member while its code and the members' adjacent
+  ///    arena blocks are hot (run.member_batch chunks the member loop for
+  ///    cache blocking; results are bitwise identical for every chunk size).
   ///  - Concurrent: each member advances through its own thread-per-rank
   ///    concurrent runtime (bitwise identical to Batched by the
   ///    concurrent == lockstep contract).
@@ -43,29 +43,6 @@ struct EnsembleOptions {
   comm::RuntimeOptions runtime{};
 };
 
-/// Per-core glue the runner templates over; the two model cores are
-/// deliberately isomorphic so this is all that differs.
-template <class Model>
-struct ModelTraits;
-
-template <>
-struct ModelTraits<fv3::DistributedModel> {
-  using Config = fv3::FvConfig;
-  static constexpr const char* core = "dycore";
-  static std::vector<std::string> prognostics(const Config& config) {
-    return fv3::ModelState::prognostic_names(config.ntracers);
-  }
-};
-
-template <>
-struct ModelTraits<swe::SweModel> {
-  using Config = swe::SweConfig;
-  static constexpr const char* core = "swe";
-  static std::vector<std::string> prognostics(const Config& config) {
-    return swe::SweState::prognostic_names(config.ntracers);
-  }
-};
-
 /// N perturbed-IC instances of one model core sharing member-major arena
 /// storage, advanced together so one scheduled stencil sweep serves all
 /// members. Every member is bitwise (0 ULP) identical to a solo run of the
@@ -74,7 +51,7 @@ struct ModelTraits<swe::SweModel> {
 template <class Model>
 class EnsembleRunner {
  public:
-  using Config = typename ModelTraits<Model>::Config;
+  using Config = typename Model::Config;
 
   EnsembleRunner(const Config& config, EnsembleOptions options);
 
@@ -108,13 +85,10 @@ class EnsembleRunner {
   void set_member_batch(int chunk) { options_.run.member_batch = chunk; }
 
  private:
-  void step_chunk(int mlo, int mhi);
-
   Config config_;
   EnsembleOptions options_;
   MemberArena arena_;
   std::vector<std::unique_ptr<Model>> models_;
-  std::vector<std::vector<comm::RankDomain>> domains_;  ///< per member
   long member_steps_ = 0;
 };
 

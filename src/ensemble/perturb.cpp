@@ -1,9 +1,6 @@
 #include "ensemble/perturb.hpp"
 
-#include "core/util/error.hpp"
 #include "core/util/rng.hpp"
-#include "fv3/init/baroclinic.hpp"
-#include "swe/init.hpp"
 
 namespace cyclone::ensemble {
 
@@ -45,63 +42,6 @@ void perturb_field(FieldD& field, const MemberSpec& spec, int tile, int gi0, int
                                               amplitude);
       }
     }
-  }
-}
-
-namespace {
-
-template <class Model>
-void perturb_prognostics(Model& model, const std::vector<std::string>& prognostics,
-                         const MemberSpec& spec, double amplitude) {
-  if (spec.index != 0) {
-    for (int r = 0; r < model.num_ranks(); ++r) {
-      const grid::RankInfo info = model.partitioner().info(r);
-      auto& catalog = model.state(r).catalog();
-      for (const std::string& name : prognostics) {
-        perturb_field(catalog.at(name), spec, info.tile, info.i0, info.j0, amplitude);
-      }
-    }
-  }
-  // Unconditional so control and perturbed members run the same exchange
-  // sequence (the exchange is deterministic, but symmetry keeps the solo
-  // replica's step count identical for any future stateful comm layer).
-  model.exchange_prognostics();
-}
-
-}  // namespace
-
-void perturb_model(fv3::DistributedModel& model, const MemberSpec& spec, double amplitude) {
-  perturb_prognostics(model, fv3::ModelState::prognostic_names(model.state(0).config().ntracers),
-                      spec, amplitude);
-}
-
-void perturb_model(swe::SweModel& model, const MemberSpec& spec, double amplitude) {
-  perturb_prognostics(model, swe::SweState::prognostic_names(model.state(0).config().ntracers),
-                      spec, amplitude);
-}
-
-void apply_initial_condition(fv3::DistributedModel& model, const std::string& ic) {
-  if (ic == "baro") {
-    fv3::init_baroclinic(model);
-  } else if (ic == "solid") {
-    for (int r = 0; r < model.num_ranks(); ++r) {
-      fv3::init_solid_body(model.state(r), model.partitioner());
-    }
-    model.exchange_prognostics();
-  } else {
-    throw Error("unknown dycore initial condition '" + ic + "'");
-  }
-}
-
-void apply_initial_condition(swe::SweModel& model, const std::string& ic) {
-  if (ic == "hill") {
-    swe::init_gaussian_hill(model);
-  } else if (ic == "vortex") {
-    swe::init_vortex(model);
-  } else if (ic == "jet") {
-    swe::init_zonal_flow(model);
-  } else {
-    throw Error("unknown SWE initial condition '" + ic + "'");
   }
 }
 

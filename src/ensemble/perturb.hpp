@@ -4,9 +4,8 @@
 #include <string>
 #include <string_view>
 
+#include "comm/model.hpp"
 #include "core/field/field.hpp"
-#include "fv3/driver.hpp"
-#include "swe/driver.hpp"
 
 namespace cyclone::ensemble {
 
@@ -41,13 +40,29 @@ void perturb_field(FieldD& field, const MemberSpec& spec, int tile, int gi0, int
 /// Perturb every prognostic field of every rank, then re-exchange prognostic
 /// halos. The same helper serves batched members and their solo replicas, so
 /// both see exactly the same stores in the same order.
-void perturb_model(fv3::DistributedModel& model, const MemberSpec& spec, double amplitude);
-void perturb_model(swe::SweModel& model, const MemberSpec& spec, double amplitude);
+template <class Core>
+void perturb_model(comm::Model<Core>& model, const MemberSpec& spec, double amplitude) {
+  if (spec.index != 0) {
+    for (int r = 0; r < model.num_ranks(); ++r) {
+      const grid::RankInfo info = model.partitioner().info(r);
+      auto& catalog = model.state(r).catalog();
+      for (const std::string& name : model.prognostic_names(model.config())) {
+        perturb_field(catalog.at(name), spec, info.tile, info.i0, info.j0, amplitude);
+      }
+    }
+  }
+  // Unconditional so control and perturbed members run the same exchange
+  // sequence (the exchange is deterministic, but symmetry keeps the solo
+  // replica's step count identical for any future stateful comm layer).
+  model.exchange_prognostics();
+}
 
-/// Named initial-condition dispatch matching the corpus scenario vocabulary:
-/// dycore {"baro", "solid"}, SWE {"hill", "vortex", "jet"}. Throws on
-/// unknown names.
-void apply_initial_condition(fv3::DistributedModel& model, const std::string& ic);
-void apply_initial_condition(swe::SweModel& model, const std::string& ic);
+/// Named initial-condition dispatch over the core's vocabulary (the corpus
+/// scenario ICs): dycore {"baro", "solid"}, SWE {"hill", "vortex", "jet"}.
+/// Throws on unknown names.
+template <class Core>
+void apply_initial_condition(comm::Model<Core>& model, const std::string& ic) {
+  model.init(ic);
+}
 
 }  // namespace cyclone::ensemble

@@ -24,13 +24,15 @@ void add_specs(std::vector<MemberSpec>& roster, const ForecastRequest& request) 
 }
 
 std::string validate(const ForecastRequest& r) {
-  if (r.core != "swe" && r.core != "dycore") return "unknown core '" + r.core + "'";
-  if (r.core == "swe" && r.ic != "hill" && r.ic != "vortex" && r.ic != "jet") {
-    return "unknown SWE initial condition '" + r.ic + "'";
+  std::string ic_error;
+  if (r.core == fv3::DistributedModel::core_name) {
+    ic_error = fv3::DistributedModel::initial_condition_error(r.ic);
+  } else if (r.core == swe::SweModel::core_name) {
+    ic_error = swe::SweModel::initial_condition_error(r.ic);
+  } else {
+    return "unknown core '" + r.core + "'";
   }
-  if (r.core == "dycore" && r.ic != "baro" && r.ic != "solid") {
-    return "unknown dycore initial condition '" + r.ic + "'";
-  }
+  if (!ic_error.empty()) return ic_error;
   if (r.members < 1) return "members must be >= 1";
   if (r.steps < 1) return "steps must be >= 1";
   if (r.npx < 4) return "npx too small";
@@ -184,14 +186,8 @@ namespace {
 
 template <class Model>
 void run_batch_core(const ForecastService::Options& options, const ForecastRequest& head,
-                    const std::vector<MemberSpec>& roster, std::vector<MemberForecast>& out,
-                    comm::RunReport& report) {
-  typename ModelTraits<Model>::Config config;
-  if constexpr (std::is_same_v<Model, fv3::DistributedModel>) {
-    config = standard_dycore_config(head.npx, head.npz, head.ntracers);
-  } else {
-    config = standard_swe_config(head.npx, head.ntracers);
-  }
+                    const typename Model::Config& config, const std::vector<MemberSpec>& roster,
+                    std::vector<MemberForecast>& out, comm::RunReport& report) {
   EnsembleOptions opts;
   opts.members = roster;
   opts.amplitude = options.amplitude;
@@ -209,24 +205,9 @@ void run_batch_core(const ForecastService::Options& options, const ForecastReque
     report.ok = true;
     report.steps_completed = head.steps;
   }
-  const std::vector<std::string> prognostics = ModelTraits<Model>::prognostics(config);
   out.reserve(roster.size());
   for (int m = 0; m < runner.members(); ++m) {
-    Model& model = runner.member(m);
-    std::vector<verify::RankView> views;
-    views.reserve(static_cast<size_t>(model.num_ranks()));
-    for (int r = 0; r < model.num_ranks(); ++r) {
-      const grid::RankInfo info = model.partitioner().info(r);
-      views.push_back(verify::RankView{&model.state(r).catalog(), info.tile, info.i0, info.j0,
-                                       info.ni, info.nj});
-    }
-    MemberForecast forecast;
-    forecast.spec = roster[static_cast<size_t>(m)];
-    for (const std::string& name : prognostics) {
-      forecast.fields.push_back(
-          verify::assemble_field(name, grid::kNumFaces, model.partitioner().n(), views));
-    }
-    out.push_back(std::move(forecast));
+    out.push_back(MemberForecast{roster[static_cast<size_t>(m)], runner.member(m).assemble()});
   }
 }
 
@@ -242,10 +223,13 @@ void ForecastService::run_batch(std::vector<Pending> batch) {
   comm::RunReport report;
   std::string error;
   try {
-    if (head.core == "dycore") {
-      run_batch_core<fv3::DistributedModel>(options_, head, roster, outputs, report);
+    if (head.core == fv3::DistributedModel::core_name) {
+      run_batch_core<fv3::DistributedModel>(
+          options_, head, standard_dycore_config(head.npx, head.npz, head.ntracers), roster,
+          outputs, report);
     } else {
-      run_batch_core<swe::SweModel>(options_, head, roster, outputs, report);
+      run_batch_core<swe::SweModel>(options_, head, standard_swe_config(head.npx, head.ntracers),
+                                    roster, outputs, report);
     }
   } catch (const std::exception& e) {
     error = e.what();

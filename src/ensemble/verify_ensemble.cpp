@@ -21,7 +21,7 @@ bool bitwise_equal(const FieldD& a, const FieldD& b) {
 }
 
 template <class Model>
-std::unique_ptr<Model> solo_member(const typename ModelTraits<Model>::Config& config,
+std::unique_ptr<Model> solo_member(const typename Model::Config& config,
                                    int num_ranks, const exec::RunOptions& run,
                                    const std::string& ic, const MemberSpec& spec,
                                    double amplitude) {
@@ -41,10 +41,10 @@ template std::unique_ptr<swe::SweModel> solo_member<swe::SweModel>(const swe::Sw
                                                                    const MemberSpec&, double);
 
 template <class Model>
-EnsembleVerifyReport verify_batched_vs_solo(const typename ModelTraits<Model>::Config& config,
+EnsembleVerifyReport verify_batched_vs_solo(const typename Model::Config& config,
                                             const EnsembleVerifyOptions& options) {
   EnsembleVerifyReport report;
-  const std::vector<std::string> prognostics = ModelTraits<Model>::prognostics(config);
+  const std::vector<std::string> prognostics = Model::prognostic_names(config);
   for (exec::ExecBackend backend : options.backends) {
     exec::RunOptions run;
     run.backend = backend;
@@ -77,7 +77,7 @@ EnsembleVerifyReport verify_batched_vs_solo(const typename ModelTraits<Model>::C
               if (!bitwise_equal(batched.state(r).f(name), solo->state(r).f(name))) {
                 ++report.mismatches;
                 std::ostringstream msg;
-                msg << ModelTraits<Model>::core << " backend=" << exec::backend_name(backend)
+                msg << Model::core_name << " backend=" << exec::backend_name(backend)
                     << " members=" << count << " seed=" << seed << " member=" << m
                     << " rank=" << r << " field=" << name << ": batched != solo";
                 report.failures.push_back(msg.str());

@@ -18,7 +18,7 @@ bool bitwise_equal(const FieldD& a, const FieldD& b);
 /// stream — the reference the batched member is diffed against. Runs through
 /// the default lockstep scheduler.
 template <class Model>
-std::unique_ptr<Model> solo_member(const typename ModelTraits<Model>::Config& config,
+std::unique_ptr<Model> solo_member(const typename Model::Config& config,
                                    int num_ranks, const exec::RunOptions& run,
                                    const std::string& ic, const MemberSpec& spec,
                                    double amplitude);
@@ -50,7 +50,7 @@ struct EnsembleVerifyReport {
 /// ensemble and, independently, a solo replica of each member, then demand
 /// every prognostic field of every rank agree bit for bit.
 template <class Model>
-EnsembleVerifyReport verify_batched_vs_solo(const typename ModelTraits<Model>::Config& config,
+EnsembleVerifyReport verify_batched_vs_solo(const typename Model::Config& config,
                                             const EnsembleVerifyOptions& options);
 
 }  // namespace cyclone::ensemble

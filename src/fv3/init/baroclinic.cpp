@@ -137,10 +137,9 @@ void init_baroclinic(ModelState& state, const grid::Partitioner& part,
 }
 
 void init_baroclinic(DistributedModel& model, const BaroclinicCase& params) {
-  for (int r = 0; r < model.num_ranks(); ++r) {
-    init_baroclinic(model.state(r), model.partitioner(), params);
-  }
-  model.exchange_prognostics();
+  model.init_ranks([&](ModelState& state, const grid::Partitioner& part) {
+    init_baroclinic(state, part, params);
+  });
 }
 
 void init_solid_body(ModelState& state, const grid::Partitioner& part, double speed) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 
 #include "core/util/error.hpp"
 
@@ -93,55 +94,62 @@ void Savepoint::save(const std::string& path) const {
 }
 
 Savepoint Savepoint::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   CY_REQUIRE_MSG(in.good(), "cannot open '" << path << "' for reading");
+  uint64_t left = static_cast<uint64_t>(in.tellg());
+  in.seekg(0);
+  auto read = [&](void* dst, uint64_t bytes) {
+    CY_REQUIRE_MSG(bytes <= left, "truncated savepoint '" << path << "'");
+    in.read(static_cast<char*>(dst), static_cast<std::streamsize>(bytes));
+    left -= bytes;
+  };
   auto get_u64 = [&] {
     uint64_t v = 0;
-    in.read(reinterpret_cast<char*>(&v), 8);
+    read(&v, 8);
     return v;
+  };
+  auto get_dim = [&] {
+    const auto v = static_cast<int64_t>(get_u64());
+    CY_REQUIRE_MSG(v >= 0 && v <= std::numeric_limits<int>::max(),
+                   "savepoint '" << path << "' has invalid dimension " << v);
+    return static_cast<int>(v);
   };
   CY_REQUIRE_MSG(get_u64() == kMagic, "'" << path << "' is not a cyclone savepoint");
   Savepoint sp;
   const uint64_t count = get_u64();
   for (uint64_t f = 0; f < count; ++f) {
     const uint64_t name_len = get_u64();
+    CY_REQUIRE_MSG(name_len <= left, "savepoint '" << path << "' name length " << name_len
+                                                   << " exceeds the file");
     std::string name(name_len, '\0');
-    in.read(name.data(), static_cast<std::streamsize>(name_len));
+    read(name.data(), name_len);
     Entry e;
-    e.ni = static_cast<int>(get_u64());
-    e.nj = static_cast<int>(get_u64());
-    e.nk = static_cast<int>(get_u64());
-    e.halo_i = static_cast<int>(get_u64());
-    e.halo_j = static_cast<int>(get_u64());
-    e.data.resize(get_u64());
-    in.read(reinterpret_cast<char*>(e.data.data()),
-            static_cast<std::streamsize>(e.data.size() * sizeof(double)));
+    e.ni = get_dim();
+    e.nj = get_dim();
+    e.nk = get_dim();
+    e.halo_i = get_dim();
+    e.halo_j = get_dim();
+    const uint64_t len = get_u64();
+    CY_REQUIRE_MSG(len <= left / sizeof(double),
+                   "savepoint '" << path << "' field '" << name << "' data length " << len
+                                 << " exceeds the file");
+    // restore() and max_diff() index the data by the entry's full volume.
+    uint64_t volume = 1;
+    bool overflow = false;
+    for (const int64_t extent : {int64_t{e.ni} + 2 * e.halo_i, int64_t{e.nj} + 2 * e.halo_j,
+                                 int64_t{e.nk}}) {
+      overflow |= __builtin_mul_overflow(volume, static_cast<uint64_t>(extent), &volume);
+    }
+    CY_REQUIRE_MSG(!overflow && len == volume,
+                   "savepoint '" << path << "' field '" << name << "' holds " << len
+                                 << " values, which does not match its dims");
+    e.data.resize(len);
+    read(e.data.data(), len * sizeof(double));
     sp.names_.push_back(name);
     sp.entries_[name] = std::move(e);
   }
   CY_ENSURE_MSG(in.good(), "truncated savepoint '" << path << "'");
   return sp;
-}
-
-void SavepointStore::save(long step, const std::vector<comm::RankDomain>& ranks) {
-  step_ = step;
-  snaps_.clear();
-  snaps_.reserve(ranks.size());
-  for (const auto& rd : ranks) snaps_.push_back(Savepoint::capture_all(*rd.catalog));
-  if (!dir_.empty()) {
-    for (size_t r = 0; r < snaps_.size(); ++r) {
-      snaps_[r].save(dir_ + "/ckpt_r" + std::to_string(r) + ".sav");
-    }
-  }
-  ++saves_;
-}
-
-long SavepointStore::restore(std::vector<comm::RankDomain>& ranks) {
-  CY_REQUIRE_MSG(!snaps_.empty(), "no checkpoint to restore");
-  CY_REQUIRE_MSG(snaps_.size() == ranks.size(), "checkpoint rank count mismatch");
-  for (size_t r = 0; r < ranks.size(); ++r) snaps_[r].restore(*ranks[r].catalog);
-  ++restores_;
-  return step_;
 }
 
 }  // namespace cyclone::fv3

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/runtime.hpp"
 #include "core/field/catalog.hpp"
 
 namespace cyclone::fv3 {
@@ -28,7 +27,9 @@ class Savepoint {
   /// Max |a - b| between this snapshot and the catalog's current fields.
   [[nodiscard]] double max_diff(const FieldCatalog& catalog) const;
 
-  /// Binary round trip.
+  /// Binary round trip. load() validates every length it reads against the
+  /// bytes left in the file and every entry's data against its dims, and
+  /// throws cyclone::Error on a malformed file.
   void save(const std::string& path) const;
   static Savepoint load(const std::string& path);
 
@@ -41,31 +42,6 @@ class Savepoint {
   };
   std::vector<std::string> names_;
   std::map<std::string, Entry> entries_;
-};
-
-/// Checkpoint store for the self-healing runtime backed by the savepoint
-/// layer: each checkpoint is one Savepoint per rank (full allocation, halos
-/// included), so rollback-restart reuses exactly the snapshot/restore code
-/// the module-validation harness trusts. With a non-empty directory every
-/// checkpoint is also mirrored to `ckpt_r<rank>.sav` files — the stand-in
-/// for writing to a burst buffer; restore always reads the in-memory copy.
-class SavepointStore : public comm::CheckpointStore {
- public:
-  explicit SavepointStore(std::string directory = "") : dir_(std::move(directory)) {}
-
-  void save(long step, const std::vector<comm::RankDomain>& ranks) override;
-  long restore(std::vector<comm::RankDomain>& ranks) override;
-
-  [[nodiscard]] long saves() const { return saves_; }
-  [[nodiscard]] long restores() const { return restores_; }
-  [[nodiscard]] long checkpoint_step() const { return step_; }
-
- private:
-  std::string dir_;
-  long step_ = -1;
-  std::vector<Savepoint> snaps_;  ///< one per rank
-  long saves_ = 0;
-  long restores_ = 0;
 };
 
 }  // namespace cyclone::fv3

@@ -5,7 +5,6 @@
 
 #include "core/util/rng.hpp"
 #include "fv3/init/baroclinic.hpp"
-#include "fv3/serialization.hpp"
 
 namespace cyclone::fv3 {
 
@@ -87,10 +86,8 @@ verify::EquivalenceReport verify_resilient_dycore(const FvConfig& config, int nu
         try {
           init_baroclinic(subject);
           comm::ConcurrentRuntime& rt = subject.concurrent_runtime();
-          SavepointStore store;  // checkpoint through the fv3 savepoint layer
-          comm::RecoveryOptions rec;
+          comm::RecoveryOptions rec;  // checkpoints go to the runtime's memory store
           rec.enabled = true;
-          rec.store = &store;
           if (mode == verify::FaultMode::Hang) {
             rec.heartbeat_timeout_seconds = options.hang_heartbeat_seconds;
           }

@@ -1,10 +1,11 @@
 #include "swe/driver.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
-#include "fv3/serialization.hpp"
+#include "swe/init.hpp"
 
 namespace cyclone::swe {
 
@@ -15,105 +16,31 @@ bool SweDiagnostics::finite() const {
   return true;
 }
 
-SweModel::SweModel(const SweConfig& config, int num_ranks, const SweSchedules& schedules,
-                   const std::function<FieldPlacer(int rank)>& placers)
-    : config_(config),
-      part_(grid::Partitioner::for_ranks(config.npx, num_ranks)),
-      comm_(part_.num_ranks()),
-      halo_(part_, 3) {
-  for (int r = 0; r < part_.num_ranks(); ++r) {
-    states_.push_back(
-        std::make_unique<SweState>(config_, part_, r, placers ? placers(r) : FieldPlacer{}));
-  }
-  program_ = build_swe_program(*states_[0], schedules);
+std::span<const comm::InitialCondition<SweState>> SweCore::initial_conditions() {
+  static constexpr std::array<comm::InitialCondition<SweState>, 3> kTable{{
+      {"hill", [](SweState& s, const grid::Partitioner& p) { init_gaussian_hill(s, p); }},
+      {"vortex", [](SweState& s, const grid::Partitioner& p) { init_vortex(s, p); }},
+      {"jet", [](SweState& s, const grid::Partitioner& p) { init_zonal_flow(s, p); }},
+  }};
+  return kTable;
 }
 
-std::vector<comm::RankDomain> SweModel::rank_domains() {
-  std::vector<comm::RankDomain> ranks;
-  ranks.reserve(states_.size());
-  for (auto& st : states_) ranks.push_back(comm::RankDomain{&st->catalog(), st->domain()});
-  return ranks;
-}
-
-void SweModel::set_run_options(const exec::RunOptions& run) {
-  program_.set_run_options(run);
-  runtime_.reset();  // per-rank program copies carry stale options
-}
-
-void SweModel::set_exec_mode(ExecMode mode) { exec_mode_ = mode; }
-
-void SweModel::set_runtime_options(const comm::RuntimeOptions& options) {
-  runtime_options_ = options;
-  runtime_.reset();
-}
-
-comm::ConcurrentRuntime& SweModel::concurrent_runtime() {
-  if (!runtime_) {
-    comm::RuntimeOptions options = runtime_options_;
-    options.run = program_.run_options();
-    runtime_ = std::make_unique<comm::ConcurrentRuntime>(program_, halo_, rank_domains(),
-                                                         options);
-  }
-  return *runtime_;
-}
-
-comm::RunReport SweModel::run_resilient(int steps) {
-  set_exec_mode(ExecMode::Concurrent);
-  comm::ConcurrentRuntime& rt = concurrent_runtime();
-  // Checkpoint through the savepoint serialization layer unless the caller
-  // supplied a store (shared with the dycore's resilient path).
-  fv3::SavepointStore store;
-  comm::RecoveryOptions recovery = rt.options().recovery;
-  recovery.enabled = true;
-  if (!recovery.store) recovery.store = &store;
-  rt.set_fault_options(rt.options().faults, recovery);
-  return rt.run(steps);
-}
-
-void SweModel::step() {
-  if (exec_mode_ == ExecMode::Concurrent) {
-    concurrent_runtime().step();
-    return;
-  }
-  auto ranks = rank_domains();
-  comm::run_lockstep_step(program_, halo_, ranks, comm_);
-}
-
-void SweModel::exchange_prognostics() {
-  {
-    std::vector<FieldD*> u, v;
-    for (auto& st : states_) {
-      u.push_back(&st->f("u"));
-      v.push_back(&st->f("v"));
-    }
-    halo_.exchange_vector(u, v, comm_);
-    halo_.fill_cube_corners(u, comm::CornerFill::XDir);
-    halo_.fill_cube_corners(v, comm::CornerFill::YDir);
-  }
-  for (const auto& name : SweState::prognostic_names(config_.ntracers)) {
-    if (name == "u" || name == "v") continue;
-    std::vector<FieldD*> fields;
-    for (auto& st : states_) fields.push_back(&st->f(name));
-    halo_.exchange_scalar(fields, comm_);
-    halo_.fill_cube_corners(fields, comm::CornerFill::XDir);
-  }
-}
-
-SweDiagnostics SweModel::diagnostics() const {
+SweDiagnostics SweCore::diagnostics(const comm::Model<SweCore>& model) {
   SweDiagnostics d;
   d.min_h = std::numeric_limits<double>::infinity();
-  for (const auto& st : states_) {
-    const auto& dom = st->domain();
-    const FieldD& h = st->f("h");
-    const FieldD& area = st->f("area");
-    const FieldD& u = st->f("u");
-    const FieldD& v = st->f("v");
-    const bool has_q0 = config_.ntracers > 0;
+  const bool has_q0 = model.config().ntracers > 0;
+  for (int r = 0; r < model.num_ranks(); ++r) {
+    const SweState& st = model.state(r);
+    const auto& dom = st.domain();
+    const FieldD& h = st.f("h");
+    const FieldD& area = st.f("area");
+    const FieldD& u = st.f("u");
+    const FieldD& v = st.f("v");
     for (int j = 0; j < dom.nj; ++j) {
       for (int i = 0; i < dom.ni; ++i) {
         const double cell = h(i, j) * area(i, j);
         d.total_mass += cell;
-        if (has_q0) d.tracer_mass_q0 += st->f("q0")(i, j) * cell;
+        if (has_q0) d.tracer_mass_q0 += st.f("q0")(i, j) * cell;
         d.max_wind = std::max({d.max_wind, std::abs(u(i, j)), std::abs(v(i, j))});
         d.min_h = std::min(d.min_h, h(i, j));
       }

@@ -1,11 +1,8 @@
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <span>
 
-#include "comm/halo.hpp"
-#include "comm/runtime.hpp"
-#include "grid/partitioner.hpp"
+#include "comm/model.hpp"
 #include "swe/state.hpp"
 #include "swe/swe_core.hpp"
 
@@ -21,64 +18,31 @@ struct SweDiagnostics {
   [[nodiscard]] bool finite() const;
 };
 
+/// What the shared model driver (comm::Model) needs from the shallow-water
+/// core.
+struct SweCore {
+  using State = SweState;
+  using Config = SweConfig;
+  using Schedules = SweSchedules;
+  using Diagnostics = SweDiagnostics;
+  static constexpr const char* name = "swe";
+  static constexpr const char* title = "SWE";
+
+  static ir::Program build_program(const SweState& state, const SweSchedules& schedules) {
+    return build_swe_program(state, schedules);
+  }
+  /// "hill" (Gaussian hill), "vortex" (translating vortex) and "jet"
+  /// (steady zonal flow).
+  static std::span<const comm::InitialCondition<SweState>> initial_conditions();
+  static SweDiagnostics diagnostics(const comm::Model<SweCore>& model);
+};
+
 /// Runs the shallow-water core on all ranks of a simulated cubed-sphere
-/// decomposition. Deliberately isomorphic to fv3::DistributedModel: the two
-/// cores share one comm layer, one halo-exchange path, both schedulers
-/// (lockstep reference and thread-per-rank concurrent), and the resilient
-/// run loop — so every runtime feature is exercised by two independent
-/// program shapes.
-class SweModel {
+/// decomposition through the same driver as fv3::DistributedModel, so every
+/// runtime feature is exercised by two independent program shapes.
+class SweModel : public comm::Model<SweCore> {
  public:
-  enum class ExecMode { Lockstep, Concurrent };
-
-  /// `placers` optionally supplies a per-rank FieldPlacer routing every
-  /// state-field allocation into external storage (the ensemble runtime's
-  /// member-major arenas); empty = each state owns its fields.
-  SweModel(const SweConfig& config, int num_ranks,
-           const SweSchedules& schedules = SweSchedules::tuned(),
-           const std::function<FieldPlacer(int rank)>& placers = {});
-
-  [[nodiscard]] const grid::Partitioner& partitioner() const { return part_; }
-  [[nodiscard]] int num_ranks() const { return part_.num_ranks(); }
-  [[nodiscard]] SweState& state(int rank) { return *states_[static_cast<size_t>(rank)]; }
-  [[nodiscard]] const ir::Program& program() const { return program_; }
-  [[nodiscard]] ir::Program& program() { return program_; }
-  [[nodiscard]] comm::SimComm& comm() { return comm_; }
-  [[nodiscard]] comm::HaloUpdater& halo_updater() { return halo_; }
-
-  void set_run_options(const exec::RunOptions& run);
-  [[nodiscard]] const exec::RunOptions& run_options() const { return program_.run_options(); }
-
-  void set_exec_mode(ExecMode mode);
-  [[nodiscard]] ExecMode exec_mode() const { return exec_mode_; }
-
-  void set_runtime_options(const comm::RuntimeOptions& options);
-  [[nodiscard]] comm::ConcurrentRuntime& concurrent_runtime();
-
-  /// Advance one physics timestep on every rank.
-  void step();
-
-  /// Advance `steps` timesteps through the self-healing concurrent runtime
-  /// (fault injection + checkpoint/rollback via the savepoint layer).
-  comm::RunReport run_resilient(int steps);
-
-  /// Exchange the prognostic fields' halos (used after initialization).
-  void exchange_prognostics();
-
-  [[nodiscard]] SweDiagnostics diagnostics() const;
-
- private:
-  [[nodiscard]] std::vector<comm::RankDomain> rank_domains();
-
-  SweConfig config_;
-  grid::Partitioner part_;
-  std::vector<std::unique_ptr<SweState>> states_;
-  ir::Program program_;
-  comm::SimComm comm_;
-  comm::HaloUpdater halo_;
-  ExecMode exec_mode_ = ExecMode::Lockstep;
-  comm::RuntimeOptions runtime_options_{};
-  std::unique_ptr<comm::ConcurrentRuntime> runtime_;
+  using Model::Model;
 };
 
 }  // namespace cyclone::swe

@@ -177,24 +177,21 @@ void init_vortex(SweState& state, const grid::Partitioner& part, const VortexCas
 }
 
 void init_gaussian_hill(SweModel& model, const GaussianHillCase& params) {
-  for (int r = 0; r < model.num_ranks(); ++r) {
-    init_gaussian_hill(model.state(r), model.partitioner(), params);
-  }
-  model.exchange_prognostics();
+  model.init_ranks([&](SweState& state, const grid::Partitioner& part) {
+    init_gaussian_hill(state, part, params);
+  });
 }
 
 void init_zonal_flow(SweModel& model, const ZonalFlowCase& params) {
-  for (int r = 0; r < model.num_ranks(); ++r) {
-    init_zonal_flow(model.state(r), model.partitioner(), params);
-  }
-  model.exchange_prognostics();
+  model.init_ranks([&](SweState& state, const grid::Partitioner& part) {
+    init_zonal_flow(state, part, params);
+  });
 }
 
 void init_vortex(SweModel& model, const VortexCase& params) {
-  for (int r = 0; r < model.num_ranks(); ++r) {
-    init_vortex(model.state(r), model.partitioner(), params);
-  }
-  model.exchange_prognostics();
+  model.init_ranks([&](SweState& state, const grid::Partitioner& part) {
+    init_vortex(state, part, params);
+  });
 }
 
 }  // namespace cyclone::swe

@@ -280,6 +280,33 @@ TEST(FaultPlanTest, ChecksumCatchesEverySingleBitFlip) {
   }
 }
 
+TEST(FaultPlanTest, ReliabilityCountersSumFieldByField) {
+  // Distinct values per field, so a field summed into the wrong slot (or not
+  // at all) shows up.
+  ReliabilityCounters a;
+  long v = 1;
+  for (long* f : {&a.reliable_sends, &a.retransmits, &a.corrupt_detected, &a.dups_dropped,
+                  &a.reorders_healed, &a.drops_injected, &a.dups_injected,
+                  &a.reorders_injected, &a.corrupts_injected, &a.delays_injected}) {
+    *f = v;
+    v *= 2;
+  }
+  ReliabilityCounters b = a;
+  b += a;
+  b += ReliabilityCounters{};
+  EXPECT_EQ(b.reliable_sends, 2 * 1);
+  EXPECT_EQ(b.retransmits, 2 * 2);
+  EXPECT_EQ(b.corrupt_detected, 2 * 4);
+  EXPECT_EQ(b.dups_dropped, 2 * 8);
+  EXPECT_EQ(b.reorders_healed, 2 * 16);
+  EXPECT_EQ(b.drops_injected, 2 * 32);
+  EXPECT_EQ(b.dups_injected, 2 * 64);
+  EXPECT_EQ(b.reorders_injected, 2 * 128);
+  EXPECT_EQ(b.corrupts_injected, 2 * 256);
+  EXPECT_EQ(b.delays_injected, 2 * 512);
+  EXPECT_EQ(b.faults_injected(), 2 * (32 + 64 + 128 + 256 + 512));
+}
+
 // ---- Checkpoint / rollback-restart recovery --------------------------------
 
 /// Build a 6-rank diffusion runtime plus the pristine seed catalogs needed to

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/util/rng.hpp"
 #include "fv3/init/baroclinic.hpp"
@@ -103,6 +107,44 @@ TEST(Savepoint, ShapeMismatchRejected) {
   b.create("q", 5, 4, 2);
   const Savepoint sp = Savepoint::capture(a, {"q"});
   EXPECT_THROW(sp.restore(b), Error);
+}
+
+/// Write a savepoint file holding one field entry with the given header
+/// values and `data_len` doubles of payload.
+std::string write_raw_savepoint(const std::string& file, uint64_t name_len,
+                                const std::vector<int64_t>& dims, uint64_t data_len) {
+  const std::string path = std::string(::testing::TempDir()) + "/" + file;
+  std::ofstream out(path, std::ios::binary);
+  auto put_u64 = [&](uint64_t v) { out.write(reinterpret_cast<const char*>(&v), 8); };
+  put_u64(0x43594353415645ull);  // "CYCSAVE"
+  put_u64(1);
+  put_u64(name_len);
+  out.write("q", 1);
+  for (int64_t d : dims) put_u64(static_cast<uint64_t>(d));
+  put_u64(data_len);
+  for (uint64_t i = 0; i < data_len; ++i) {
+    const double x = 1.0;
+    out.write(reinterpret_cast<const char*>(&x), sizeof x);
+  }
+  return path;
+}
+
+TEST(Savepoint, LoadRejectsShortDataArray) {
+  // Dims 4x4x2 with no halo need 32 values; restore() would read past 3.
+  EXPECT_NO_THROW(Savepoint::load(write_raw_savepoint("sp_ok.bin", 1, {4, 4, 2, 0, 0}, 32)));
+  EXPECT_THROW(Savepoint::load(write_raw_savepoint("sp_short.bin", 1, {4, 4, 2, 0, 0}, 3)),
+               Error);
+}
+
+TEST(Savepoint, LoadRejectsOversizedNameLength) {
+  EXPECT_THROW(Savepoint::load(write_raw_savepoint("sp_name.bin", uint64_t{1} << 62,
+                                                   {4, 4, 2, 0, 0}, 32)),
+               Error);
+}
+
+TEST(Savepoint, LoadRejectsNegativeDimension) {
+  EXPECT_THROW(Savepoint::load(write_raw_savepoint("sp_dim.bin", 1, {-1, 4, 2, 0, 0}, 0)),
+               Error);
 }
 
 TEST(Savepoint, ModuleRegressionWorkflow) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "comm/verify_distributed.hpp"
 #include "core/dsl/builder.hpp"
 #include "core/util/rng.hpp"
+#include "core/verify/random_program.hpp"
 #include "fv3/verify_distributed.hpp"
 #include "grid/partitioner.hpp"
 
@@ -213,6 +215,67 @@ TEST(Distributed, OverlapActuallySplitsStates) {
   EXPECT_EQ(rt.stats().steps, 2);
   EXPECT_EQ(rt.stats().halo_states, 2);
   EXPECT_EQ(rt.stats().overlapped_states, 2);
+}
+
+/// One lockstep member: its own program copy, halo updater, comm and
+/// seeded per-rank catalogs.
+struct LockstepFixture {
+  LockstepFixture(const ir::Program& p, const grid::Partitioner& part,
+                  const std::vector<exec::LaunchDomain>& doms, uint64_t seed)
+      : program(p), halo(part, 3), comm(part.num_ranks()) {
+    for (size_t r = 0; r < doms.size(); ++r) {
+      cats.push_back(verify::make_test_catalog(p, p, doms[r], Rng::mix(seed, r)));
+    }
+    for (size_t r = 0; r < doms.size(); ++r) ranks.push_back(RankDomain{&cats[r], doms[r]});
+  }
+  LockstepMember member() { return LockstepMember{&program, &halo, &ranks, &comm}; }
+
+  ir::Program program;
+  HaloUpdater halo;
+  SimComm comm;
+  std::vector<FieldCatalog> cats;
+  std::vector<RankDomain> ranks;
+};
+
+TEST(Distributed, MemberLoopLockstepMatchesOneMemberPasses) {
+  // k members advanced by one run_lockstep_step pass (state loop outer,
+  // member loop inner) must each end bitwise equal to a separate
+  // one-member run over the same data.
+  std::vector<ir::Program> programs = {make_diffusion_program(), make_vector_program(),
+                                       make_looped_program()};
+  for (const uint64_t seed : {3u, 17u, 42u}) programs.push_back(verify::random_program(seed));
+  const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
+  const auto doms = domains_for(part, 4);
+  constexpr int kSteps = 2;
+  for (size_t pi = 0; pi < programs.size(); ++pi) {
+    const ir::Program& p = programs[pi];
+    for (const int k : {1, 3}) {
+      std::vector<std::unique_ptr<LockstepFixture>> batched;
+      std::vector<LockstepMember> members;
+      for (int m = 0; m < k; ++m) {
+        batched.push_back(std::make_unique<LockstepFixture>(p, part, doms, Rng::mix(0xBA7C, m)));
+        members.push_back(batched.back()->member());
+      }
+      for (int s = 0; s < kSteps; ++s) run_lockstep_step(members);
+
+      for (int m = 0; m < k; ++m) {
+        LockstepFixture solo(p, part, doms, Rng::mix(0xBA7C, m));
+        for (int s = 0; s < kSteps; ++s) {
+          run_lockstep_step(solo.program, solo.halo, solo.ranks, solo.comm);
+        }
+        EXPECT_EQ(batched[static_cast<size_t>(m)]->comm.total_messages(),
+                  solo.comm.total_messages());
+        for (size_t r = 0; r < doms.size(); ++r) {
+          for (const auto& name : solo.cats[r].names()) {
+            const verify::FieldDivergence d = verify::compare_fields_bitwise(
+                name, batched[static_cast<size_t>(m)]->cats[r].at(name), solo.cats[r].at(name));
+            EXPECT_TRUE(d.ok) << "program " << pi << " k=" << k << " member " << m << " rank "
+                              << r << " field " << name;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Distributed, DycoreConcurrentMatchesLockstepBitwise) {
