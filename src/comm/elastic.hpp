@@ -251,7 +251,6 @@ class ElasticRuntime {
   std::unique_ptr<grid::Partitioner> part_;
   std::unique_ptr<HaloUpdater> halo_;
   std::vector<FieldCatalog> cats_;
-  std::vector<exec::LaunchDomain> doms_;
   std::vector<RankDomain> ranks_;
   std::unique_ptr<ConcurrentRuntime> rt_;
   ElasticCheckpointStore store_;

@@ -88,6 +88,8 @@ class Model {
   [[nodiscard]] SimComm& comm() { return comm_; }
   [[nodiscard]] const HaloUpdater& halo_updater() const { return halo_; }
   [[nodiscard]] HaloUpdater& halo_updater() { return halo_; }
+  /// Every rank's catalog bound to its launch domain.
+  [[nodiscard]] const std::vector<RankDomain>& rank_domains() const { return ranks_; }
 
   /// Names of the prognostic fields the core advances.
   [[nodiscard]] static std::vector<std::string> prognostic_names(const Config& config) {

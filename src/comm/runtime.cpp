@@ -12,6 +12,29 @@
 
 namespace cyclone::comm {
 
+exec::LaunchDomain launch_domain(const grid::Partitioner& part, int rank, int nk) {
+  const grid::RankInfo info = part.info(rank);
+  exec::LaunchDomain dom{info.ni, info.nj, nk};
+  dom.gi0 = info.i0;
+  dom.gj0 = info.j0;
+  dom.gni = part.n();
+  dom.gnj = part.n();
+  return dom;
+}
+
+std::vector<RankDomain> bind_ranks(std::vector<FieldCatalog>& cats,
+                                   const grid::Partitioner& part, int nk) {
+  CY_REQUIRE_MSG(static_cast<int>(cats.size()) == part.num_ranks(),
+                 "bind_ranks: " << cats.size() << " catalogs for " << part.num_ranks()
+                                << " ranks");
+  std::vector<RankDomain> ranks;
+  ranks.reserve(cats.size());
+  for (int r = 0; r < part.num_ranks(); ++r) {
+    ranks.push_back(RankDomain{&cats[static_cast<size_t>(r)], launch_domain(part, r, nk)});
+  }
+  return ranks;
+}
+
 bool is_halo_only(const ir::State& st) {
   return !st.nodes.empty() &&
          std::all_of(st.nodes.begin(), st.nodes.end(), [](const ir::SNode& n) {

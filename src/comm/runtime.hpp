@@ -24,6 +24,14 @@ struct RankDomain {
   exec::LaunchDomain dom;
 };
 
+/// Rank `rank`'s launch domain on `part`: its owned ni x nj x nk block,
+/// placed on the global tile so horizontal regions resolve per rank.
+exec::LaunchDomain launch_domain(const grid::Partitioner& part, int rank, int nk);
+
+/// Bind cats[r] to launch_domain(part, r, nk) for every rank of `part`.
+std::vector<RankDomain> bind_ranks(std::vector<FieldCatalog>& cats,
+                                   const grid::Partitioner& part, int nk);
+
 /// Destination for rollback-restart checkpoints. Implementations capture the
 /// complete field state of every rank; `save` is only ever called at a step
 /// boundary with the channel drained, so a checkpoint is globally consistent
@@ -38,8 +46,7 @@ class CheckpointStore {
 };
 
 /// Default store: deep copies of every rank's fields held in memory — the
-/// stand-in for node-local burst-buffer checkpointing. fv3 provides a
-/// Savepoint-backed implementation that reuses the serialization layer.
+/// stand-in for node-local burst-buffer checkpointing.
 /// Retains the newest `keep_last` complete snapshots (older ones are evicted
 /// oldest-first on save); restore always rewinds to the newest.
 class MemoryCheckpointStore : public CheckpointStore {

@@ -10,67 +10,75 @@
 
 namespace cyclone::verify {
 
+SeededRanks::SeededRanks(const ir::Program& program, const grid::Partitioner& part, int nk,
+                         uint64_t seed)
+    : cats(static_cast<size_t>(part.num_ranks())), ranks(comm::bind_ranks(cats, part, nk)) {
+  for (size_t r = 0; r < cats.size(); ++r) {
+    cats[r] = make_test_catalog(program, program, ranks[r].dom, Rng::mix(seed, r));
+  }
+}
+
+void SeededRanks::copy_from(const SeededRanks& other) {
+  CY_REQUIRE_MSG(other.cats.size() == cats.size(), "SeededRanks::copy_from: rank count mismatch");
+  for (size_t r = 0; r < cats.size(); ++r) {
+    for (const auto& name : other.cats[r].names()) {
+      cats[r].at(name).copy_from(other.cats[r].at(name));
+    }
+  }
+}
+
+void compare_rank_sets(DomainResult& dr, const std::vector<comm::RankDomain>& reference,
+                       const std::vector<comm::RankDomain>& subject) {
+  CY_REQUIRE_MSG(reference.size() == subject.size(), "compare_rank_sets: rank count mismatch");
+  std::vector<FieldDivergence> fields;
+  for (size_t r = 0; r < reference.size(); ++r) {
+    for (const auto& name : reference[r].catalog->names()) {
+      fields.push_back(compare_fields_bitwise("r" + std::to_string(r) + "/" + name,
+                                              reference[r].catalog->at(name),
+                                              subject[r].catalog->at(name)));
+    }
+  }
+  record_fields(dr, fields);
+}
+
 namespace {
 
-std::vector<exec::LaunchDomain> rank_domains(const grid::Partitioner& part, int nk) {
-  std::vector<exec::LaunchDomain> doms;
-  doms.reserve(static_cast<size_t>(part.num_ranks()));
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const auto info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    doms.push_back(dom);
-  }
-  return doms;
-}
+template <class Options>
+using Sweep = EquivalenceReport (*)(const ir::Program&, const comm::HaloUpdater&,
+                                    std::vector<comm::RankDomain>,
+                                    std::vector<comm::RankDomain>, const ResetRanks&,
+                                    const Options&);
 
-/// Identically seeded per-rank catalogs; both schedulers start from these.
-std::vector<FieldCatalog> seeded_catalogs(const ir::Program& program,
-                                          const std::vector<exec::LaunchDomain>& doms,
-                                          uint64_t seed) {
-  std::vector<FieldCatalog> cats;
-  cats.reserve(doms.size());
-  for (size_t r = 0; r < doms.size(); ++r) {
-    cats.push_back(make_test_catalog(program, program, doms[r], Rng::mix(seed, r)));
-  }
-  return cats;
-}
-
-std::vector<comm::RankDomain> bind(std::vector<FieldCatalog>& cats,
-                                   const std::vector<exec::LaunchDomain>& doms) {
-  std::vector<comm::RankDomain> ranks;
-  ranks.reserve(cats.size());
-  for (size_t r = 0; r < cats.size(); ++r) {
-    ranks.push_back(comm::RankDomain{&cats[r], doms[r]});
-  }
-  return ranks;
+/// Run `sweep` on three identically seeded synthetic rank sets: the
+/// reference, the subject, and the pristine copy the reset restores the
+/// subject from.
+template <class Options>
+EquivalenceReport seeded_sweep(const ir::Program& program, const grid::Partitioner& part, int nk,
+                               int halo_width, const Options& options, Sweep<Options> sweep) {
+  const comm::HaloUpdater halo(part, halo_width);
+  SeededRanks reference(program, part, nk, options.data_seed);
+  SeededRanks subject(program, part, nk, options.data_seed);
+  const SeededRanks initial(program, part, nk, options.data_seed);
+  EquivalenceReport report = sweep(program, halo, reference.ranks, subject.ranks,
+                                   [&] { subject.copy_from(initial); }, options);
+  report.data_seed = options.data_seed;
+  return report;
 }
 
 }  // namespace
 
 EquivalenceReport check_distributed_agrees(const ir::Program& program,
-                                           const grid::Partitioner& part, int nk,
-                                           int halo_width,
+                                           const comm::HaloUpdater& halo,
+                                           std::vector<comm::RankDomain> reference,
+                                           std::vector<comm::RankDomain> subject,
+                                           const ResetRanks& reset,
                                            const DistributedVerifyOptions& options) {
   EquivalenceReport report;
-  report.data_seed = options.data_seed;
-
-  const auto doms = rank_domains(part, nk);
-  const comm::HaloUpdater halo(part, halo_width);
 
   // Lockstep reference: the sequential phase-based scheduler through the
   // deterministic SimComm mailboxes.
-  auto ref_cats = seeded_catalogs(program, doms, options.data_seed);
-  comm::SimComm sim(part.num_ranks());
-  {
-    auto ranks = bind(ref_cats, doms);
-    for (int s = 0; s < options.steps; ++s) {
-      comm::run_lockstep_step(program, halo, ranks, sim);
-    }
-  }
+  comm::SimComm sim(halo.partitioner().num_ranks());
+  for (int s = 0; s < options.steps; ++s) comm::run_lockstep_step(program, halo, reference, sim);
 
   int config = 0;
   for (const int budget : options.thread_budgets) {
@@ -79,33 +87,20 @@ EquivalenceReport check_distributed_agrees(const ir::Program& program,
       for (int rep = 0; rep < options.repetitions; ++rep, ++config) {
         const uint64_t jitter_seed = Rng::mix(options.data_seed ^ 0xA221117ull, config);
         DomainResult dr;
-        dr.dom = doms[0];
+        dr.dom = reference[0].dom;
         dr.fill_seed = jitter_seed;
         try {
-          auto cats = seeded_catalogs(program, doms, options.data_seed);
+          reset();
           comm::RuntimeOptions ro;
           ro.overlap = overlap;
           ro.run = program.run_options();
           ro.run.threads_per_rank = budget;
           ro.channel.recv_timeout_seconds = options.recv_timeout_seconds;
           ro.channel.arrival_jitter_seed = jitter_seed;
-          ro.channel.arrival_jitter_max_us = options.arrival_jitter_max_us;
-          comm::ConcurrentRuntime rt(program, halo, bind(cats, doms), ro);
+          comm::ConcurrentRuntime rt(program, halo, subject, ro);
           for (int s = 0; s < options.steps; ++s) rt.step();
 
-          FieldDivergence worst;
-          for (int r = 0; r < part.num_ranks(); ++r) {
-            for (const auto& name : ref_cats[static_cast<size_t>(r)].names()) {
-              FieldDivergence d = compare_fields_bitwise(
-                  "r" + std::to_string(r) + "/" + name,
-                  ref_cats[static_cast<size_t>(r)].at(name),
-                  cats[static_cast<size_t>(r)].at(name));
-              if (!d.ok) dr.fields.push_back(d);
-              if (worst.field.empty() || d.max_ulps > worst.max_ulps) worst = d;
-            }
-          }
-          if (dr.fields.empty() && !worst.field.empty()) dr.fields.push_back(worst);
-          dr.ok = dr.fields.empty() || (dr.fields.size() == 1 && dr.fields[0].ok);
+          compare_rank_sets(dr, reference, subject);
           // The concurrent channel must account for exactly the traffic the
           // lockstep mailboxes saw.
           if (rt.comm().total_messages() != sim.total_messages() ||
@@ -130,6 +125,13 @@ EquivalenceReport check_distributed_agrees(const ir::Program& program,
     }
   }
   return report;
+}
+
+EquivalenceReport check_distributed_agrees(const ir::Program& program,
+                                           const grid::Partitioner& part, int nk,
+                                           int halo_width,
+                                           const DistributedVerifyOptions& options) {
+  return seeded_sweep(program, part, nk, halo_width, options, check_distributed_agrees);
 }
 
 const char* fault_mode_name(FaultMode mode) {
@@ -187,40 +189,27 @@ comm::FaultPlan make_chaos_plan(FaultMode mode, uint64_t fault_seed, double rate
 }
 
 EquivalenceReport check_fault_tolerant(const ir::Program& program,
-                                       const grid::Partitioner& part, int nk, int halo_width,
+                                       const comm::HaloUpdater& halo,
+                                       std::vector<comm::RankDomain> reference,
+                                       std::vector<comm::RankDomain> subject,
+                                       const ResetRanks& reset,
                                        const FaultToleranceOptions& options) {
   EquivalenceReport report;
-  report.data_seed = options.data_seed;
-
-  const auto doms = rank_domains(part, nk);
-  const comm::HaloUpdater halo(part, halo_width);
+  const int nranks = halo.partitioner().num_ranks();
   const size_t order_len = program.flatten_execution_order().size();
 
   // Fault-free lockstep reference, run once.
-  auto ref_cats = seeded_catalogs(program, doms, options.data_seed);
-  comm::SimComm sim(part.num_ranks());
-  {
-    auto ranks = bind(ref_cats, doms);
-    for (int s = 0; s < options.steps; ++s) {
-      comm::run_lockstep_step(program, halo, ranks, sim);
-    }
-  }
+  comm::SimComm sim(nranks);
+  for (int s = 0; s < options.steps; ++s) comm::run_lockstep_step(program, halo, reference, sim);
 
   // One subject runtime reused across all plans (rebuilding per-rank program
-  // copies per plan would dominate the sweep); pristine initial fields are
-  // kept aside and copied back in before every run.
-  const auto init_cats = seeded_catalogs(program, doms, options.data_seed);
-  auto cats = seeded_catalogs(program, doms, options.data_seed);
+  // copies per plan would dominate the sweep); `reset` restores the initial
+  // fields before every run.
   comm::RuntimeOptions ro;
   ro.run = program.run_options();
   ro.run.threads_per_rank = options.threads_per_rank;
   ro.channel.recv_timeout_seconds = options.recv_timeout_seconds;
-  comm::ConcurrentRuntime rt(program, halo, bind(cats, doms), ro);
-
-  comm::RecoveryOptions recovery;
-  recovery.enabled = true;
-  recovery.checkpoint_interval = options.checkpoint_interval;
-  recovery.max_restarts = options.max_restarts;
+  comm::ConcurrentRuntime rt(program, halo, subject, ro);
 
   int config = 0;
   for (const FaultMode mode : options.modes) {
@@ -228,55 +217,35 @@ EquivalenceReport check_fault_tolerant(const ir::Program& program,
       const uint64_t fault_seed = Rng::mix(options.fault_seed_base, config);
       const comm::FaultPlan plan =
           make_chaos_plan(mode, fault_seed, options.rate, options.steps, options.crash_rank,
-                          options.crash_step, part.num_ranks(), order_len);
-      comm::RecoveryOptions rec = recovery;
+                          options.crash_step, nranks, order_len);
+      const std::string where =
+          std::string(fault_mode_name(mode)) + " plan [" + comm::describe_plan(plan) + "]";
+      comm::RecoveryOptions rec;  // checkpoints go to the runtime's memory store
+      rec.enabled = true;
       if (mode == FaultMode::Hang) rec.heartbeat_timeout_seconds = options.hang_heartbeat_seconds;
       DomainResult dr;
-      dr.dom = doms[0];
+      dr.dom = reference[0].dom;
       dr.fill_seed = fault_seed;
       try {
-        for (size_t r = 0; r < doms.size(); ++r) {
-          for (const auto& name : init_cats[r].names()) {
-            cats[r].at(name).copy_from(init_cats[r].at(name));
-          }
-        }
+        reset();
         rt.set_fault_options(plan, rec);
         const comm::RunReport rr = rt.run(options.steps);
         if (!rr.ok) {
-          dr.error = std::string(fault_mode_name(mode)) + " plan [" +
-                     comm::describe_plan(plan) + "] did not recover: " + rr.failure;
+          dr.error = where + " did not recover: " + rr.failure;
           dr.ok = false;
         } else {
-          FieldDivergence worst;
-          for (int r = 0; r < part.num_ranks(); ++r) {
-            for (const auto& name : ref_cats[static_cast<size_t>(r)].names()) {
-              FieldDivergence d = compare_fields_bitwise(
-                  "r" + std::to_string(r) + "/" + name,
-                  ref_cats[static_cast<size_t>(r)].at(name),
-                  cats[static_cast<size_t>(r)].at(name));
-              if (!d.ok) dr.fields.push_back(d);
-              if (worst.field.empty() || d.max_ulps > worst.max_ulps) worst = d;
-            }
-          }
-          if (dr.fields.empty() && !worst.field.empty()) dr.fields.push_back(worst);
-          dr.ok = dr.fields.empty() || (dr.fields.size() == 1 && dr.fields[0].ok);
-          if (!dr.ok) {
-            dr.error = std::string("recovered run diverges under ") + fault_mode_name(mode) +
-                       " plan [" + comm::describe_plan(plan) + "]";
-          }
+          compare_rank_sets(dr, reference, subject);
+          if (!dr.ok) dr.error = "recovered run diverges under " + where;
           // Staging buffers must all be back in their pools once drained.
           if (rt.halo().pool_outstanding() != 0) {
-            std::ostringstream os;
-            os << "halo pool leak under " << fault_mode_name(mode) << " plan ["
-               << comm::describe_plan(plan) << "]: " << rt.halo().pool_outstanding()
-               << " buffers outstanding after drain";
-            dr.error = os.str();
+            dr.error = "halo pool leak under " + where + ": " +
+                       std::to_string(rt.halo().pool_outstanding()) +
+                       " buffers outstanding after drain";
             dr.ok = false;
           }
         }
       } catch (const std::exception& e) {
-        dr.error = std::string(fault_mode_name(mode)) + " plan [" + comm::describe_plan(plan) +
-                   "]: " + e.what();
+        dr.error = where + ": " + e.what();
         dr.ok = false;
       }
       report.equivalent = report.equivalent && dr.ok;
@@ -284,6 +253,12 @@ EquivalenceReport check_fault_tolerant(const ir::Program& program,
     }
   }
   return report;
+}
+
+EquivalenceReport check_fault_tolerant(const ir::Program& program,
+                                       const grid::Partitioner& part, int nk, int halo_width,
+                                       const FaultToleranceOptions& options) {
+  return seeded_sweep(program, part, nk, halo_width, options, check_fault_tolerant);
 }
 
 }  // namespace cyclone::verify

@@ -1,14 +1,42 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "comm/model.hpp"
 #include "comm/runtime.hpp"
 #include "core/verify/verify.hpp"
 #include "grid/partitioner.hpp"
 
 namespace cyclone::verify {
+
+/// One rank set of a synthetic program that owns its catalogs: rank r holds
+/// make_test_catalog(program, program, its launch domain, Rng::mix(seed, r)),
+/// so two sets built with the same arguments start out bitwise identical.
+struct SeededRanks {
+  SeededRanks(const ir::Program& program, const grid::Partitioner& part, int nk, uint64_t seed);
+  SeededRanks(const SeededRanks&) = delete;
+  SeededRanks& operator=(const SeededRanks&) = delete;
+
+  /// Copy every field of `other` (same program, layout and seed) into this
+  /// set: restores a subject to its initial state.
+  void copy_from(const SeededRanks& other);
+
+  std::vector<FieldCatalog> cats;
+  std::vector<comm::RankDomain> ranks;  ///< cats bound to their launch domains
+};
+
+/// Compare every field of every rank of `subject` against `reference`
+/// bitwise (labels "r<rank>/<field>") and fold the result into `dr`.
+void compare_rank_sets(DomainResult& dr, const std::vector<comm::RankDomain>& reference,
+                       const std::vector<comm::RankDomain>& subject);
+
+/// Restores the subject rank set of a sweep to its initial state; called
+/// before every configuration.
+using ResetRanks = std::function<void()>;
 
 /// Knobs of the distributed scheduler-equivalence checker.
 struct DistributedVerifyOptions {
@@ -28,9 +56,6 @@ struct DistributedVerifyOptions {
   int steps = 1;
   /// Channel recv timeout; generous by default so slow CI never misfires.
   double recv_timeout_seconds = 120.0;
-  /// Max artificial message delivery delay (microseconds of steady-clock
-  /// "readiness", not sleeps).
-  int arrival_jitter_max_us = 200;
   /// Also run every configuration with overlap disabled: interior/rim
   /// splitting must be unobservable in the results.
   bool include_overlap_off = true;
@@ -41,14 +66,25 @@ struct DistributedVerifyOptions {
 /// halos included, at 0 ULP — for every thread budget, overlap mode, and
 /// randomized message arrival order.
 ///
-/// The lockstep reference runs `program` once over `steps` passes through
-/// SimComm; each concurrent configuration then re-runs from identically
-/// seeded catalogs through a ConcurrentRuntime and is compared field by
-/// field. Channel message/byte counters must also match the SimComm totals.
+/// `reference` and `subject` bind two rank sets of `program`, laid out as
+/// `halo`'s partitioner, that start out identical. The reference advances
+/// `steps` passes once through run_lockstep_step and SimComm; each
+/// concurrent configuration calls `reset`, re-runs the subject through a
+/// ConcurrentRuntime and compares it field by field. Channel message/byte
+/// counters must also match the SimComm totals.
 ///
 /// One DomainResult is recorded per (thread budget, overlap mode,
 /// repetition); its fill_seed logs the jitter seed so any failure replays
-/// bit-exactly. Note the partitioner requires a rank count that is a
+/// bit-exactly.
+EquivalenceReport check_distributed_agrees(const ir::Program& program,
+                                           const comm::HaloUpdater& halo,
+                                           std::vector<comm::RankDomain> reference,
+                                           std::vector<comm::RankDomain> subject,
+                                           const ResetRanks& reset,
+                                           const DistributedVerifyOptions& options = {});
+
+/// The sweep on identically seeded synthetic rank sets (SeededRanks with
+/// options.data_seed). The partitioner requires a rank count that is a
 /// positive multiple of 6 (one cubed-sphere face per tile), so 6 is the
 /// smallest verifiable layout — there is no 1-rank decomposition.
 EquivalenceReport check_distributed_agrees(const ir::Program& program,
@@ -88,9 +124,6 @@ struct FaultToleranceOptions {
   /// Heartbeat timeout for Hang runs (a hang costs this much wall-clock per
   /// seed; the default trades detection latency against TSan-slow machines).
   double hang_heartbeat_seconds = 0.5;
-  /// Rollback-restart policy (store = null uses the runtime's memory store).
-  int checkpoint_interval = 1;
-  int max_restarts = 8;
 };
 
 /// Deterministic plan for one (mode, fault seed) cell of a chaos sweep.
@@ -102,14 +135,50 @@ struct FaultToleranceOptions {
                                               int nranks, size_t order_len);
 
 /// Chaos-verify the self-healing runtime: for every fault mode and seed,
-/// build a deterministic FaultPlan, run the concurrent runtime with
-/// fault injection + recovery enabled, and require (a) the run to complete
-/// (recovering as needed) and (b) every field of every rank to match the
-/// fault-free lockstep reference bitwise at 0 ULP. One DomainResult is
-/// recorded per (mode, seed); its fill_seed logs the fault seed and its
-/// error names the injected plan, so any failure replays bit-exactly.
+/// build a deterministic FaultPlan, call `reset`, run the subject rank set
+/// through one reused ConcurrentRuntime with fault injection + recovery
+/// (checkpoints in the runtime's memory store), and require (a) the run to
+/// complete (recovering as needed), (b) every field of every rank to match
+/// the fault-free lockstep reference bitwise at 0 ULP and (c) the halo
+/// staging pools to balance. `reference` and `subject` start out identical,
+/// as for check_distributed_agrees. One DomainResult is recorded per (mode,
+/// seed); its fill_seed logs the fault seed and its error names the
+/// injected plan, so any failure replays bit-exactly.
+EquivalenceReport check_fault_tolerant(const ir::Program& program,
+                                       const comm::HaloUpdater& halo,
+                                       std::vector<comm::RankDomain> reference,
+                                       std::vector<comm::RankDomain> subject,
+                                       const ResetRanks& reset,
+                                       const FaultToleranceOptions& options = {});
+
+/// The chaos sweep on identically seeded synthetic rank sets.
 EquivalenceReport check_fault_tolerant(const ir::Program& program,
                                        const grid::Partitioner& part, int nk, int halo_width,
                                        const FaultToleranceOptions& options = {});
+
+/// Both sweeps on a model core: `reference` and `subject` are two models of
+/// one config. Both are initialised with `ic` here, and `subject.init(ic)`
+/// is the reset, so any core gets the sweeps without core-specific code.
+template <class Core>
+EquivalenceReport check_distributed_agrees(comm::Model<Core>& reference,
+                                           comm::Model<Core>& subject, std::string_view ic,
+                                           const DistributedVerifyOptions& options = {}) {
+  reference.init(ic);
+  subject.init(ic);
+  return check_distributed_agrees(reference.program(), reference.halo_updater(),
+                                  reference.rank_domains(), subject.rank_domains(),
+                                  [&] { subject.init(ic); }, options);
+}
+
+template <class Core>
+EquivalenceReport check_fault_tolerant(comm::Model<Core>& reference, comm::Model<Core>& subject,
+                                       std::string_view ic,
+                                       const FaultToleranceOptions& options = {}) {
+  reference.init(ic);
+  subject.init(ic);
+  return check_fault_tolerant(reference.program(), reference.halo_updater(),
+                              reference.rank_domains(), subject.rank_domains(),
+                              [&] { subject.init(ic); }, options);
+}
 
 }  // namespace cyclone::verify

@@ -1,78 +1,14 @@
 #include "comm/verify_elastic.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <exception>
-#include <limits>
 #include <utility>
 
 #include "comm/simcomm.hpp"
+#include "comm/verify_distributed.hpp"
 #include "core/dsl/builder.hpp"
 #include "core/util/rng.hpp"
 
 namespace cyclone::verify {
-
-namespace {
-
-std::vector<exec::LaunchDomain> rank_domains(const grid::Partitioner& part, int nk) {
-  std::vector<exec::LaunchDomain> doms;
-  doms.reserve(static_cast<size_t>(part.num_ranks()));
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const auto info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    doms.push_back(dom);
-  }
-  return doms;
-}
-
-std::vector<FieldCatalog> seeded_catalogs(const ir::Program& program,
-                                          const std::vector<exec::LaunchDomain>& doms,
-                                          uint64_t seed) {
-  std::vector<FieldCatalog> cats;
-  cats.reserve(doms.size());
-  for (size_t r = 0; r < doms.size(); ++r) {
-    cats.push_back(make_test_catalog(program, program, doms[r], Rng::mix(seed, r)));
-  }
-  return cats;
-}
-
-std::vector<comm::RankDomain> bind(std::vector<FieldCatalog>& cats,
-                                   const std::vector<exec::LaunchDomain>& doms) {
-  std::vector<comm::RankDomain> ranks;
-  ranks.reserve(cats.size());
-  for (size_t r = 0; r < cats.size(); ++r) {
-    ranks.push_back(comm::RankDomain{&cats[r], doms[r]});
-  }
-  return ranks;
-}
-
-/// Compare one assembled global field bitwise against the reference.
-FieldDivergence compare_global(const std::string& label, const std::vector<double>& ref,
-                               const std::vector<double>& got) {
-  FieldDivergence d;
-  d.field = label;
-  if (ref.size() != got.size()) {
-    d.ok = false;
-    d.max_ulps = std::numeric_limits<double>::infinity();
-    return d;
-  }
-  for (size_t i = 0; i < ref.size(); ++i) {
-    const double u = ulp_distance(ref[i], got[i]);
-    if (u > d.max_ulps) {
-      d.max_ulps = u;
-      d.max_abs = std::abs(ref[i] - got[i]);
-      d.at_i = static_cast<int>(i);  // flat global index; tile/j/i recoverable
-    }
-    if (u != 0.0) d.ok = false;
-  }
-  return d;
-}
-
-}  // namespace
 
 ir::Program make_elastic_program(int trips) {
   ir::Program p("elastic-diffusion");
@@ -124,16 +60,14 @@ EquivalenceReport check_elastic_agrees(const ir::Program& program, int n, int nk
       // Static-membership lockstep reference at the initial roster.
       const grid::Partitioner part0 = grid::Partitioner::for_ranks(n, options.initial_ranks);
       const comm::HaloUpdater halo(part0, halo_width);
-      const auto doms = rank_domains(part0, nk);
-      auto ref_cats = seeded_catalogs(prog, doms, seed);
-      auto ref_ranks = bind(ref_cats, doms);
+      SeededRanks ref(prog, part0, nk, seed);
       comm::SimComm sim(part0.num_ranks());
       for (int t = 0; t < options.steps; ++t) {
-        comm::run_lockstep_step(prog, halo, ref_ranks, sim);
+        comm::run_lockstep_step(prog, halo, ref.ranks, sim);
       }
       std::vector<std::pair<std::string, std::vector<double>>> ref_globals;
-      for (const auto& name : ref_cats[0].names()) {
-        ref_globals.emplace_back(name, comm::assemble_owned(part0, ref_ranks, name));
+      for (const auto& name : ref.cats[0].names()) {
+        ref_globals.emplace_back(name, comm::assemble_owned(part0, ref.ranks, name));
       }
 
       struct Scenario {
@@ -145,10 +79,10 @@ EquivalenceReport check_elastic_agrees(const ir::Program& program, int n, int nk
 
       for (const Scenario& sc : scenarios) {
         DomainResult dr;
-        dr.dom = doms[0];
+        dr.dom = ref.ranks[0].dom;
         dr.fill_seed = seed;
         try {
-          auto cats = seeded_catalogs(prog, doms, seed);
+          SeededRanks initial(prog, part0, nk, seed);
           comm::ElasticOptions eo;
           eo.runtime.run = prog.run_options();
           eo.runtime.channel.recv_timeout_seconds = options.recv_timeout_seconds;
@@ -172,7 +106,7 @@ EquivalenceReport check_elastic_agrees(const ir::Program& program, int n, int nk
             eo.evict_to_ranks = options.shrink_ranks;
             eo.rejoin_after_steps = options.rejoin_after_steps;
           }
-          comm::ElasticRuntime ert(prog, nk, halo_width, part0, std::move(cats), eo);
+          comm::ElasticRuntime ert(prog, nk, halo_width, part0, std::move(initial.cats), eo);
           const comm::ElasticReport er = ert.run(options.steps);
 
           if (!er.ok) {
@@ -189,16 +123,12 @@ EquivalenceReport check_elastic_agrees(const ir::Program& program, int n, int nk
                        std::to_string(ert.halo().pool_outstanding()) + " buffers outstanding";
           }
           if (dr.error.empty()) {
-            FieldDivergence worst;
-            for (const auto& [name, ref] : ref_globals) {
-              FieldDivergence d =
-                  compare_global(backend_name + "/" + sc.label + "/" + name, ref,
-                                 ert.assemble(name));
-              if (!d.ok) dr.fields.push_back(d);
-              if (worst.field.empty() || d.max_ulps > worst.max_ulps) worst = d;
+            std::vector<FieldDivergence> fields;
+            for (const auto& [name, want] : ref_globals) {
+              fields.push_back(compare_fields_bitwise(backend_name + "/" + sc.label + "/" + name,
+                                                      want, ert.assemble(name)));
             }
-            if (dr.fields.empty() && !worst.field.empty()) dr.fields.push_back(worst);
-            dr.ok = dr.fields.empty() || (dr.fields.size() == 1 && dr.fields[0].ok);
+            record_fields(dr, fields);
           } else {
             dr.ok = false;
           }

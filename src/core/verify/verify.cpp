@@ -33,6 +33,26 @@ double ulp_distance(double a, double b) {
   return static_cast<double>(dist);
 }
 
+namespace {
+
+/// Fold one cell pair into `d`: any bit difference fails the field, and the
+/// worst one (by ulp distance) is recorded with its location.
+void compare_cell(FieldDivergence& d, double va, double vb, int i, int j, int k) {
+  if (std::bit_cast<uint64_t>(va) == std::bit_cast<uint64_t>(vb)) return;
+  double ulps = ulp_distance(va, vb);
+  if (ulps == 0.0) ulps = std::numeric_limits<double>::infinity();  // +-0, NaN payload
+  if (d.ok || ulps > d.max_ulps) {
+    d.max_ulps = ulps;
+    d.max_abs = std::abs(va - vb);
+    d.at_i = i;
+    d.at_j = j;
+    d.at_k = k;
+  }
+  d.ok = false;
+}
+
+}  // namespace
+
 FieldDivergence compare_fields_bitwise(const std::string& label, const FieldD& a,
                                        const FieldD& b) {
   FieldDivergence d;
@@ -43,21 +63,35 @@ FieldDivergence compare_fields_bitwise(const std::string& label, const FieldD& a
   for (int k = 0; k < shape.nk(); ++k) {
     for (int j = -shape.halo().j; j < shape.nj() + shape.halo().j; ++j) {
       for (int i = -shape.halo().i; i < shape.ni() + shape.halo().i; ++i) {
-        const double va = a(i, j, k);
-        const double vb = b(i, j, k);
-        const double ulps = ulp_distance(va, vb);
-        if (ulps > d.max_ulps) {
-          d.max_ulps = ulps;
-          d.max_abs = std::abs(va - vb);
-          d.at_i = i;
-          d.at_j = j;
-          d.at_k = k;
-        }
+        compare_cell(d, a(i, j, k), b(i, j, k), i, j, k);
       }
     }
   }
-  d.ok = d.max_ulps == 0.0;
   return d;
+}
+
+FieldDivergence compare_fields_bitwise(const std::string& label, const std::vector<double>& a,
+                                       const std::vector<double>& b) {
+  FieldDivergence d;
+  d.field = label;
+  if (a.size() != b.size()) {
+    d.ok = false;
+    d.max_ulps = std::numeric_limits<double>::infinity();
+    return d;
+  }
+  for (size_t i = 0; i < a.size(); ++i) compare_cell(d, a[i], b[i], static_cast<int>(i), 0, 0);
+  return d;
+}
+
+void record_fields(DomainResult& dr, const std::vector<FieldDivergence>& fields) {
+  bool all_ok = true;
+  for (const FieldDivergence& d : fields) {
+    if (d.ok) continue;
+    dr.fields.push_back(d);
+    all_ok = false;
+  }
+  if (all_ok && !fields.empty()) dr.fields.push_back(fields.front());
+  dr.ok = dr.ok && all_ok;
 }
 
 std::vector<exec::LaunchDomain> default_domains() {

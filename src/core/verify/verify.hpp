@@ -86,9 +86,22 @@ double ulp_distance(double a, double b);
 /// Bitwise comparison of two same-shaped fields over their full storage,
 /// halos included. Used by the distributed runtime checks, where halo cells
 /// are observable state (the exchange writes them) and the contract is exact
-/// equality: ok iff every cell matches at 0 ULP.
+/// equality: ok iff every cell has the same bit pattern, so +0 vs -0 and two
+/// NaNs with different payloads diverge. max_ulps reports the worst
+/// ulp_distance, and infinity for a bit difference it cannot measure (signed
+/// zero, NaN payload).
 FieldDivergence compare_fields_bitwise(const std::string& label, const FieldD& a,
                                        const FieldD& b);
+
+/// The same bit test over two flat arrays (assembled global fields); a size
+/// mismatch diverges. at_i holds the flat index of the worst cell.
+FieldDivergence compare_fields_bitwise(const std::string& label, const std::vector<double>& a,
+                                       const std::vector<double>& b);
+
+/// Fold the bitwise field comparisons of one run into `dr`: dr.fields gets
+/// every diverging field, or only the first field as the witness when all
+/// match; dr.ok is false if any field diverged.
+void record_fields(DomainResult& dr, const std::vector<FieldDivergence>& fields);
 
 /// Build a field catalog sized for `program` under `dom`: every catalog-level
 /// field either program accesses is created with halos wide enough for the

@@ -1,24 +1,10 @@
 #include "ensemble/verify_ensemble.hpp"
 
-#include <cstring>
 #include <sstream>
 
-namespace cyclone::ensemble {
+#include "core/verify/verify.hpp"
 
-bool bitwise_equal(const FieldD& a, const FieldD& b) {
-  if (!(a.shape() == b.shape())) return false;
-  const FieldShape& s = a.shape();
-  for (int k = 0; k < s.nk(); ++k) {
-    for (int j = -s.halo().j; j < s.nj() + s.halo().j; ++j) {
-      for (int i = -s.halo().i; i < s.ni() + s.halo().i; ++i) {
-        const double va = a(i, j, k);
-        const double vb = b(i, j, k);
-        if (std::memcmp(&va, &vb, sizeof(double)) != 0) return false;
-      }
-    }
-  }
-  return true;
-}
+namespace cyclone::ensemble {
 
 template <class Model>
 std::unique_ptr<Model> solo_member(const typename Model::Config& config,
@@ -74,7 +60,9 @@ EnsembleVerifyReport verify_batched_vs_solo(const typename Model::Config& config
           for (int r = 0; r < solo->num_ranks(); ++r) {
             for (const std::string& name : prognostics) {
               ++report.comparisons;
-              if (!bitwise_equal(batched.state(r).f(name), solo->state(r).f(name))) {
+              const verify::FieldDivergence d = verify::compare_fields_bitwise(
+                  name, batched.state(r).f(name), solo->state(r).f(name));
+              if (!d.ok) {
                 ++report.mismatches;
                 std::ostringstream msg;
                 msg << Model::core_name << " backend=" << exec::backend_name(backend)

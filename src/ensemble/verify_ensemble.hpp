@@ -8,11 +8,6 @@
 
 namespace cyclone::ensemble {
 
-/// Exact bit-pattern equality of two same-shaped fields over the addressable
-/// region (compute domain + halos). Stricter than max_abs_diff == 0: NaN
-/// payloads and signed zeros must match too.
-bool bitwise_equal(const FieldD& a, const FieldD& b);
-
 /// Build a solo (non-arena, single-model) replica of one ensemble member:
 /// same config, schedules, run options, initial condition and perturbation
 /// stream — the reference the batched member is diffed against. Runs through

@@ -8,46 +8,14 @@
 
 #include "comm/elastic.hpp"
 #include "comm/simcomm.hpp"
+#include "comm/verify_distributed.hpp"
 #include "comm/verify_elastic.hpp"
-#include "core/util/rng.hpp"
 #include "core/verify/corpus.hpp"
 #include "core/verify/verify.hpp"
 #include "grid/partitioner.hpp"
 
 namespace cyclone::comm {
 namespace {
-
-std::vector<exec::LaunchDomain> domains_for(const grid::Partitioner& part, int nk) {
-  std::vector<exec::LaunchDomain> doms;
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const auto info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    doms.push_back(dom);
-  }
-  return doms;
-}
-
-std::vector<FieldCatalog> seeded_catalogs(const ir::Program& program,
-                                          const std::vector<exec::LaunchDomain>& doms,
-                                          uint64_t seed) {
-  std::vector<FieldCatalog> cats;
-  cats.reserve(doms.size());
-  for (size_t r = 0; r < doms.size(); ++r) {
-    cats.push_back(verify::make_test_catalog(program, program, doms[r], Rng::mix(seed, r)));
-  }
-  return cats;
-}
-
-std::vector<RankDomain> bind(std::vector<FieldCatalog>& cats,
-                             const std::vector<exec::LaunchDomain>& doms) {
-  std::vector<RankDomain> ranks;
-  for (size_t r = 0; r < cats.size(); ++r) ranks.push_back(RankDomain{&cats[r], doms[r]});
-  return ranks;
-}
 
 /// Static-membership lockstep reference: run `steps` passes and return the
 /// assembled global owned cells of every field.
@@ -56,14 +24,12 @@ std::vector<std::pair<std::string, std::vector<double>>> reference_globals(
     int steps) {
   const grid::Partitioner part = grid::Partitioner::for_ranks(n, nranks);
   const HaloUpdater halo(part, halo_width);
-  const auto doms = domains_for(part, nk);
-  auto cats = seeded_catalogs(program, doms, seed);
-  auto ranks = bind(cats, doms);
+  verify::SeededRanks set(program, part, nk, seed);
   SimComm sim(part.num_ranks());
-  for (int t = 0; t < steps; ++t) run_lockstep_step(program, halo, ranks, sim);
+  for (int t = 0; t < steps; ++t) run_lockstep_step(program, halo, set.ranks, sim);
   std::vector<std::pair<std::string, std::vector<double>>> out;
-  for (const auto& name : cats[0].names())
-    out.emplace_back(name, assemble_owned(part, ranks, name));
+  for (const auto& name : set.cats[0].names())
+    out.emplace_back(name, assemble_owned(part, set.ranks, name));
   return out;
 }
 
@@ -71,12 +37,9 @@ void expect_bitwise_vs_reference(
     ElasticRuntime& ert,
     const std::vector<std::pair<std::string, std::vector<double>>>& ref) {
   for (const auto& [name, want] : ref) {
-    const auto got = ert.assemble(name);
-    ASSERT_EQ(want.size(), got.size()) << name;
-    for (size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(verify::ulp_distance(want[i], got[i]), 0.0)
-          << name << " diverges at flat index " << i;
-    }
+    const verify::FieldDivergence d =
+        verify::compare_fields_bitwise(name, want, ert.assemble(name));
+    EXPECT_TRUE(d.ok) << name << " diverges at flat index " << d.at_i;
   }
 }
 
@@ -132,9 +95,8 @@ TEST(RekeyPlan, ClearFailureDropsOneShotCrashButKeepsMessageFaults) {
 TEST(MemoryCheckpointStore, KeepsOnlyLastKSnapshotsOldestFirst) {
   const ir::Program p = verify::make_elastic_program(1);
   const grid::Partitioner part = grid::Partitioner::for_ranks(6, 6);
-  const auto doms = domains_for(part, 2);
-  auto cats = seeded_catalogs(p, doms, 7);
-  auto ranks = bind(cats, doms);
+  verify::SeededRanks set(p, part, 2, 7);
+  std::vector<RankDomain>& ranks = set.ranks;
 
   MemoryCheckpointStore store(2);
   store.save(0, ranks);
@@ -149,9 +111,8 @@ TEST(MemoryCheckpointStore, KeepsOnlyLastKSnapshotsOldestFirst) {
 TEST(ElasticCheckpointStore, EvictsOldestCompleteSnapshots) {
   const ir::Program p = verify::make_elastic_program(1);
   const grid::Partitioner part = grid::Partitioner::for_ranks(6, 6);
-  const auto doms = domains_for(part, 2);
-  auto cats = seeded_catalogs(p, doms, 11);
-  auto ranks = bind(cats, doms);
+  verify::SeededRanks set(p, part, 2, 11);
+  std::vector<RankDomain>& ranks = set.ranks;
 
   ElasticCheckpointStore store(2);
   store.set_roster(part);
@@ -165,9 +126,8 @@ TEST(ElasticCheckpointStore, EvictsOldestCompleteSnapshots) {
 TEST(ElasticCheckpointStore, CrashDuringMigrationLeavesPartialThatGcReclaims) {
   const ir::Program p = verify::make_elastic_program(1);
   const grid::Partitioner part = grid::Partitioner::for_ranks(6, 6);
-  const auto doms = domains_for(part, 2);
-  auto cats = seeded_catalogs(p, doms, 13);
-  auto ranks = bind(cats, doms);
+  verify::SeededRanks set(p, part, 2, 13);
+  std::vector<RankDomain>& ranks = set.ranks;
 
   ElasticCheckpointStore store(3);
   store.set_roster(part);
@@ -194,28 +154,24 @@ TEST(ElasticCheckpointStore, MigratesStateAcrossRosters) {
   const ir::Program p = verify::make_elastic_program(1);
   const int n = 12, nk = 3;
   const grid::Partitioner big = grid::Partitioner::for_ranks(n, 24);
-  const auto big_doms = domains_for(big, nk);
-  auto big_cats = seeded_catalogs(p, big_doms, 17);
-  auto big_ranks = bind(big_cats, big_doms);
-  const auto want = assemble_owned(big, big_ranks, "q");
+  verify::SeededRanks big_set(p, big, nk, 17);
+  const auto want = assemble_owned(big, big_set.ranks, "q");
 
   ElasticCheckpointStore store(2);
   store.set_roster(big);
-  store.save(5, big_ranks);
+  store.save(5, big_set.ranks);
 
   // Scatter onto a 6-rank roster with empty catalogs: restore() must create
   // every field from the snapshot's shape metadata and fill owned cells.
   const grid::Partitioner small = grid::Partitioner::for_ranks(n, 6);
-  const auto small_doms = domains_for(small, nk);
-  std::vector<FieldCatalog> small_cats(small_doms.size());
-  auto small_ranks = bind(small_cats, small_doms);
+  std::vector<FieldCatalog> small_cats(static_cast<size_t>(small.num_ranks()));
+  auto small_ranks = bind_ranks(small_cats, small, nk);
   store.set_roster(small);
   EXPECT_EQ(store.restore(small_ranks), 5);
 
-  const auto got = assemble_owned(small, small_ranks, "q");
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(verify::ulp_distance(want[i], got[i]), 0.0) << "q differs at " << i;
+  const verify::FieldDivergence d =
+      verify::compare_fields_bitwise("q", want, assemble_owned(small, small_ranks, "q"));
+  EXPECT_TRUE(d.ok) << "q differs at " << d.at_i;
 }
 
 // ---- Load balancer ---------------------------------------------------------
@@ -275,12 +231,11 @@ TEST(Elastic, InvalidRosterIsRejectedMidRunWithStructuredError) {
   const int n = 12, nk = 3, steps = 5;
   const uint64_t seed = 0xBADC0DE;
   const grid::Partitioner part = grid::Partitioner::for_ranks(n, 12);
-  const auto doms = domains_for(part, nk);
-  auto cats = seeded_catalogs(p, doms, seed);
+  verify::SeededRanks initial(p, part, nk, seed);
 
   ElasticOptions eo;
   eo.plan.events = {{1, 10}, {3, 6}};  // 10 is not a multiple of 6 -> rejected
-  ElasticRuntime ert(p, nk, 3, part, std::move(cats), eo);
+  ElasticRuntime ert(p, nk, 3, part, std::move(initial.cats), eo);
   const ElasticReport report = ert.run(steps);
 
   EXPECT_TRUE(report.ok) << report.failure;
@@ -301,12 +256,11 @@ TEST(Elastic, ResizeToMinimumRosterRuns) {
   const int n = 12, nk = 2, steps = 4;
   const uint64_t seed = 0x600D;
   const grid::Partitioner part = grid::Partitioner::for_ranks(n, 24);
-  const auto doms = domains_for(part, nk);
-  auto cats = seeded_catalogs(p, doms, seed);
+  verify::SeededRanks initial(p, part, nk, seed);
 
   ElasticOptions eo;
   eo.plan.events = {{1, 6}};
-  ElasticRuntime ert(p, nk, 3, part, std::move(cats), eo);
+  ElasticRuntime ert(p, nk, 3, part, std::move(initial.cats), eo);
   const ElasticReport report = ert.run(steps);
 
   EXPECT_TRUE(report.ok) << report.failure;
@@ -330,8 +284,7 @@ TEST(Elastic, InjectedImbalanceTriggersRebalanceAndStaysBitwise) {
   const int n = 6, nk = 2, steps = 8;
   const uint64_t seed = 0x51077;
   const grid::Partitioner part = grid::Partitioner::for_ranks(n, 6);
-  const auto doms = domains_for(part, nk);
-  auto cats = seeded_catalogs(p, doms, seed);
+  verify::SeededRanks initial(p, part, nk, seed);
 
   ElasticOptions eo;
   eo.runtime.imbalance.slow_rank = 2;
@@ -339,7 +292,7 @@ TEST(Elastic, InjectedImbalanceTriggersRebalanceAndStaysBitwise) {
   eo.balancer.enabled = true;
   eo.balancer.trigger_ratio = 1.5;
   eo.balancer.warmup_steps = 2;
-  ElasticRuntime ert(p, nk, 3, part, std::move(cats), eo);
+  ElasticRuntime ert(p, nk, 3, part, std::move(initial.cats), eo);
   const ElasticReport report = ert.run(steps);
 
   EXPECT_TRUE(report.ok) << report.failure;
@@ -359,12 +312,11 @@ TEST(Elastic, ReportJsonCarriesResizeLogChannelAndHealth) {
   const ir::Program p = verify::make_elastic_program();
   const int n = 12, nk = 2;
   const grid::Partitioner part = grid::Partitioner::for_ranks(n, 12);
-  const auto doms = domains_for(part, nk);
-  auto cats = seeded_catalogs(p, doms, 0xFEED);
+  verify::SeededRanks initial(p, part, nk, 0xFEED);
 
   ElasticOptions eo;
   eo.plan.events = {{1, 6}, {2, 12}};
-  ElasticRuntime ert(p, nk, 3, part, std::move(cats), eo);
+  ElasticRuntime ert(p, nk, 3, part, std::move(initial.cats), eo);
   const ElasticReport report = ert.run(4);
   ASSERT_TRUE(report.ok) << report.failure;
   ASSERT_EQ(report.health.size(), 12u);
@@ -389,11 +341,10 @@ TEST(RunReport, ExposesPerRankHealthAndSerializesToJson) {
   const ir::Program p = verify::make_elastic_program(1);
   const grid::Partitioner part = grid::Partitioner::for_ranks(6, 6);
   const HaloUpdater halo(part, 3);
-  const auto doms = domains_for(part, 2);
-  auto cats = seeded_catalogs(p, doms, 0xCAFE);
-  auto ranks = bind(cats, doms);
+  verify::SeededRanks set(p, part, 2, 0xCAFE);
+  std::vector<RankDomain>& ranks = set.ranks;
 
-  ConcurrentRuntime rt(p, halo, std::move(ranks));
+  ConcurrentRuntime rt(p, halo, ranks);
   const RunReport report = rt.run(3);
   ASSERT_TRUE(report.ok) << report.failure;
   ASSERT_EQ(report.health.size(), 6u);
@@ -417,12 +368,11 @@ TEST(Elastic, GoldenChecksumInvariantAcross24To6To24) {
   const int n = 12, nk = 3, steps = 6;
   const uint64_t seed = 0x601DEA;
   const grid::Partitioner part = grid::Partitioner::for_ranks(n, 24);
-  const auto doms = domains_for(part, nk);
-  auto cats = seeded_catalogs(p, doms, seed);
+  verify::SeededRanks initial(p, part, nk, seed);
 
   ElasticOptions eo;
   eo.plan.events = {{2, 6}, {4, 24}};
-  ElasticRuntime ert(p, nk, 3, part, std::move(cats), eo);
+  ElasticRuntime ert(p, nk, 3, part, std::move(initial.cats), eo);
   const ElasticReport report = ert.run(steps);
   ASSERT_TRUE(report.ok) << report.failure;
   ASSERT_EQ(report.resizes, 2);
@@ -441,13 +391,12 @@ TEST(Elastic, GoldenChecksumInvariantAcross24To6To24) {
   // machinery the golden files use.
   const grid::Partitioner ref_part = grid::Partitioner::for_ranks(n, 24);
   const HaloUpdater ref_halo(ref_part, 3);
-  auto ref_cats = seeded_catalogs(p, doms, seed);
-  auto ref_ranks = bind(ref_cats, doms);
+  verify::SeededRanks ref(p, ref_part, nk, seed);
   SimComm sim(ref_part.num_ranks());
-  for (int t = 0; t < steps; ++t) run_lockstep_step(p, ref_halo, ref_ranks, sim);
+  for (int t = 0; t < steps; ++t) run_lockstep_step(p, ref_halo, ref.ranks, sim);
 
   const verify::GoldenField want =
-      verify::assemble_field("q", grid::kNumFaces, n, views(ref_part, ref_ranks));
+      verify::assemble_field("q", grid::kNumFaces, n, views(ref_part, ref.ranks));
   const verify::GoldenField got =
       verify::assemble_field("q", grid::kNumFaces, n, views(ert.partitioner(), ert.rank_domains()));
   EXPECT_EQ(want.checksum, got.checksum);

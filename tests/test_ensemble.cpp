@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/verify/corpus.hpp"
+#include "core/verify/verify.hpp"
 #include "ensemble/ensemble.hpp"
 #include "ensemble/service.hpp"
 #include "ensemble/tune.hpp"
@@ -67,7 +68,7 @@ TEST(EnsemblePerturb, SameSeedSameICsAcrossProcesses) {
   }
   for (int r = 0; r < a.num_ranks(); ++r) {
     for (const std::string& name : swe::SweState::prognostic_names(cfg.ntracers)) {
-      EXPECT_TRUE(bitwise_equal(a.state(r).f(name), b.state(r).f(name)))
+      EXPECT_TRUE(verify::compare_fields_bitwise(name, a.state(r).f(name), b.state(r).f(name)).ok)
           << "rank " << r << " field " << name;
     }
   }
@@ -214,8 +215,9 @@ TEST(EnsembleBatched, MemberBatchChunkingIsBitwiseInvariant) {
     for (int m = 0; m < reference->members(); ++m) {
       for (int r = 0; r < reference->member(m).num_ranks(); ++r) {
         for (const std::string& name : swe::SweState::prognostic_names(cfg.ntracers)) {
-          EXPECT_TRUE(bitwise_equal(reference->member(m).state(r).f(name),
-                                    chunked->member(m).state(r).f(name)))
+          EXPECT_TRUE(verify::compare_fields_bitwise(name, reference->member(m).state(r).f(name),
+                                                     chunked->member(m).state(r).f(name))
+                          .ok)
               << "chunk " << chunk << " member " << m << " rank " << r << " field " << name;
         }
       }
@@ -290,7 +292,9 @@ TEST(EnsembleResilient, CrashedRankMidBatchRecoversBitwise) {
     for (int s = 0; s < steps; ++s) solo->step();
     for (int r = 0; r < solo->num_ranks(); ++r) {
       for (const std::string& name : swe::SweState::prognostic_names(cfg.ntracers)) {
-        EXPECT_TRUE(bitwise_equal(runner.member(m).state(r).f(name), solo->state(r).f(name)))
+        EXPECT_TRUE(verify::compare_fields_bitwise(name, runner.member(m).state(r).f(name),
+                                                   solo->state(r).f(name))
+                        .ok)
             << "member " << m << " rank " << r << " field " << name;
       }
     }
@@ -322,8 +326,9 @@ TEST(EnsembleTune, TuningRunsOnLiveStateWithoutPerturbingIt) {
   for (int m = 0; m < tuned.members(); ++m) {
     for (int r = 0; r < tuned.member(m).num_ranks(); ++r) {
       for (const std::string& name : swe::SweState::prognostic_names(cfg.ntracers)) {
-        EXPECT_TRUE(bitwise_equal(tuned.member(m).state(r).catalog().at(name),
-                                  reference.member(m).state(r).catalog().at(name)))
+        EXPECT_TRUE(verify::compare_fields_bitwise(name, tuned.member(m).state(r).f(name),
+                                                   reference.member(m).state(r).f(name))
+                        .ok)
             << "member " << m << " rank " << r << " field " << name;
       }
     }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -9,8 +10,9 @@
 #include "comm/verify_distributed.hpp"
 #include "core/dsl/builder.hpp"
 #include "core/util/rng.hpp"
-#include "fv3/verify_distributed.hpp"
+#include "fv3/driver.hpp"
 #include "grid/partitioner.hpp"
+#include "swe/driver.hpp"
 
 namespace cyclone::comm {
 namespace {
@@ -45,20 +47,6 @@ ir::Program make_vector_program() {
   b.parallel().full().assign(d, u(1, 0) - u(-1, 0) + v(0, 1) - v(0, -1));
   p.append_state(ir::State{"compute", {ir::SNode::make_stencil("div", b.build())}});
   return p;
-}
-
-std::vector<exec::LaunchDomain> domains_for(const grid::Partitioner& part, int nk) {
-  std::vector<exec::LaunchDomain> doms;
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const auto info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    doms.push_back(dom);
-  }
-  return doms;
 }
 
 /// Push `count` tagged messages through a fault-injected channel and require
@@ -309,38 +297,18 @@ TEST(FaultPlanTest, ReliabilityCountersSumFieldByField) {
 
 // ---- Checkpoint / rollback-restart recovery --------------------------------
 
-/// Build a 6-rank diffusion runtime plus the pristine seed catalogs needed to
-/// re-run it from identical initial conditions.
-struct Fixture {
-  ir::Program p = make_diffusion_program();
-  grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
-  HaloUpdater halo{part, 3};
-  std::vector<exec::LaunchDomain> doms = domains_for(part, 3);
-  std::vector<FieldCatalog> cats;
-
-  Fixture() {
-    for (int r = 0; r < part.num_ranks(); ++r) {
-      cats.push_back(verify::make_test_catalog(p, p, doms[static_cast<size_t>(r)],
-                                               Rng::mix(0xFA17, static_cast<uint64_t>(r))));
-    }
-  }
-
-  std::vector<RankDomain> bind() {
-    std::vector<RankDomain> ranks;
-    for (size_t r = 0; r < cats.size(); ++r) ranks.push_back(RankDomain{&cats[r], doms[r]});
-    return ranks;
-  }
-};
-
 TEST(Recovery, CrashRollsBackAndMatchesFaultFreeRun) {
   // Reference: the same program, seeds and step count with no faults.
-  Fixture ref;
+  const ir::Program p = make_diffusion_program();
+  const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
+  const HaloUpdater halo(part, 3);
+  verify::SeededRanks ref(p, part, 3, 0xFA17);
   {
-    ConcurrentRuntime rt(ref.p, ref.halo, ref.bind(), RuntimeOptions{});
+    ConcurrentRuntime rt(p, halo, ref.ranks, RuntimeOptions{});
     for (int s = 0; s < 3; ++s) rt.step();
   }
 
-  Fixture subject;
+  verify::SeededRanks subject(p, part, 3, 0xFA17);
   RuntimeOptions opt;
   opt.faults.seed = 0xCAFE;
   opt.faults.failure = FaultPlan::Failure::Crash;
@@ -350,7 +318,7 @@ TEST(Recovery, CrashRollsBackAndMatchesFaultFreeRun) {
   opt.recovery.enabled = true;
   MemoryCheckpointStore store;
   opt.recovery.store = &store;
-  ConcurrentRuntime rt(subject.p, subject.halo, subject.bind(), opt);
+  ConcurrentRuntime rt(p, halo, subject.ranks, opt);
   const RunReport rr = rt.run(3);
   EXPECT_TRUE(rr.ok) << rr.failure;
   EXPECT_EQ(rr.steps_completed, 3);
@@ -359,18 +327,17 @@ TEST(Recovery, CrashRollsBackAndMatchesFaultFreeRun) {
   EXPECT_EQ(store.restores(), 1);
   EXPECT_EQ(rt.halo().pool_outstanding(), 0);
 
-  for (size_t r = 0; r < ref.cats.size(); ++r) {
-    for (const auto& name : ref.cats[r].names()) {
-      const auto d = verify::compare_fields_bitwise("r" + std::to_string(r) + "/" + name,
-                                                    ref.cats[r].at(name), subject.cats[r].at(name));
-      EXPECT_TRUE(d.ok) << d.field << " diverges after crash recovery (" << d.max_ulps
-                        << " ulps)";
-    }
-  }
+  verify::DomainResult dr;
+  verify::compare_rank_sets(dr, ref.ranks, subject.ranks);
+  EXPECT_TRUE(dr.ok) << dr.fields.front().field << " diverges after crash recovery ("
+                     << dr.fields.front().max_ulps << " ulps)";
 }
 
 TEST(Recovery, HangDetectedByHeartbeatMonitor) {
-  Fixture f;
+  const ir::Program p = make_diffusion_program();
+  const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
+  const HaloUpdater halo(part, 3);
+  verify::SeededRanks f(p, part, 3, 0xFA17);
   RuntimeOptions opt;
   opt.faults.seed = 0x4A26;
   opt.faults.failure = FaultPlan::Failure::Hang;
@@ -379,7 +346,7 @@ TEST(Recovery, HangDetectedByHeartbeatMonitor) {
   opt.faults.fail_at_state = 1;
   opt.recovery.enabled = true;
   opt.recovery.heartbeat_timeout_seconds = 0.3;
-  ConcurrentRuntime rt(f.p, f.halo, f.bind(), opt);
+  ConcurrentRuntime rt(p, halo, f.ranks, opt);
   const RunReport rr = rt.run(2);
   EXPECT_TRUE(rr.ok) << rr.failure;
   EXPECT_EQ(rr.restarts, 1);
@@ -390,7 +357,10 @@ TEST(Recovery, ReportsInsteadOfThrowingWhenRecoveryImpossible) {
   // Total loss: every wire copy and every retransmission is dropped, so each
   // attempt exhausts max_retransmits and each restart hits the same wall.
   // run() must degrade to a structured failing report, not an exception.
-  Fixture f;
+  const ir::Program p = make_diffusion_program();
+  const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
+  const HaloUpdater halo(part, 3);
+  verify::SeededRanks f(p, part, 3, 0xFA17);
   RuntimeOptions opt;
   opt.faults.seed = 0xDEAD;
   opt.faults.drop_rate = 1.0;
@@ -398,7 +368,7 @@ TEST(Recovery, ReportsInsteadOfThrowingWhenRecoveryImpossible) {
   opt.faults.retry_base_us = 50;
   opt.recovery.enabled = true;
   opt.recovery.max_restarts = 1;
-  ConcurrentRuntime rt(f.p, f.halo, f.bind(), opt);
+  ConcurrentRuntime rt(p, halo, f.ranks, opt);
   const RunReport rr = rt.run(2);
   EXPECT_FALSE(rr.ok);
   EXPECT_NE(rr.failure.find("lost after"), std::string::npos) << rr.failure;
@@ -412,14 +382,17 @@ TEST(Recovery, ReportsInsteadOfThrowingWhenRecoveryImpossible) {
 }
 
 TEST(Recovery, DisabledRecoveryDegradesToFailingReport) {
-  Fixture f;
+  const ir::Program p = make_diffusion_program();
+  const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
+  const HaloUpdater halo(part, 3);
+  verify::SeededRanks f(p, part, 3, 0xFA17);
   RuntimeOptions opt;
   opt.faults.seed = 0x0FF;
   opt.faults.failure = FaultPlan::Failure::Crash;
   opt.faults.fail_rank = 0;
   opt.faults.fail_step = 0;
   opt.faults.fail_at_state = 1;
-  ConcurrentRuntime rt(f.p, f.halo, f.bind(), opt);  // recovery.enabled = false
+  ConcurrentRuntime rt(p, halo, f.ranks, opt);  // recovery.enabled = false
   const RunReport rr = rt.run(2);
   EXPECT_FALSE(rr.ok);
   EXPECT_EQ(rr.restarts, 0);
@@ -431,7 +404,10 @@ TEST(Recovery, CheckpointIntervalBoundsRollbackDepth) {
   // Crash during step 3 with checkpoints every 2 steps: the newest
   // checkpoint holds the end of step 1, so the completed step 2 is the one
   // step discarded by the rollback.
-  Fixture f;
+  const ir::Program p = make_diffusion_program();
+  const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
+  const HaloUpdater halo(part, 3);
+  verify::SeededRanks f(p, part, 3, 0xFA17);
   RuntimeOptions opt;
   opt.faults.seed = 0x1D;
   opt.faults.failure = FaultPlan::Failure::Crash;
@@ -442,7 +418,7 @@ TEST(Recovery, CheckpointIntervalBoundsRollbackDepth) {
   opt.recovery.checkpoint_interval = 2;
   MemoryCheckpointStore store;
   opt.recovery.store = &store;
-  ConcurrentRuntime rt(f.p, f.halo, f.bind(), opt);
+  ConcurrentRuntime rt(p, halo, f.ranks, opt);
   const RunReport rr = rt.run(5);
   EXPECT_TRUE(rr.ok) << rr.failure;
   EXPECT_EQ(rr.restarts, 1);
@@ -493,21 +469,50 @@ TEST(Chaos, DelayAndHangModesAlsoHeal) {
   EXPECT_TRUE(report.equivalent) << report.first_failure();
 }
 
+/// Model-core chaos sweep: 5 default modes x 3 seeds on 6 ranks, every
+/// recovered run at 0 ULP against the fault-free lockstep model; the fault
+/// seeds are the plan's documented derivation from `fault_seed_base`.
+template <class ModelT>
+void expect_model_resilient(const typename ModelT::Config& cfg, std::string_view ic,
+                            const verify::FaultToleranceOptions& opt) {
+  ModelT reference(cfg, 6);
+  ModelT subject(cfg, 6);
+  const verify::EquivalenceReport report =
+      verify::check_fault_tolerant(reference, subject, ic, opt);
+  EXPECT_TRUE(report.equivalent) << report.first_failure();
+  ASSERT_EQ(report.domains.size(), 15u);  // 5 modes x 3 seeds
+  for (size_t i = 0; i < report.domains.size(); ++i) {
+    EXPECT_EQ(report.domains[i].fill_seed, Rng::mix(opt.fault_seed_base, i)) << "plan " << i;
+  }
+}
+
 TEST(Chaos, DycoreResilientAcrossFaultModes) {
-  // Full FV3 program graph through run_resilient: acoustic loop, tracer
-  // transport, remap and every halo node, with checkpoints flowing through
-  // the fv3 Savepoint store. The deep 20-seed dycore sweep runs in the CI
+  // Full FV3 program graph through the shared chaos sweep: acoustic loop,
+  // tracer transport, remap and every halo node, with checkpoints in the
+  // runtime's memory store. The deep 20-seed dycore sweep runs in the CI
   // chaos job via verify_pipeline --chaos.
   fv3::FvConfig cfg;
   cfg.npx = 12;
   cfg.npz = 4;
   cfg.ntracers = 1;
 
-  fv3::DycoreChaosOptions opt;
+  verify::FaultToleranceOptions opt;
   opt.seeds_per_mode = 3;
-  const verify::EquivalenceReport report = fv3::verify_resilient_dycore(cfg, 6, opt);
-  EXPECT_TRUE(report.equivalent) << report.first_failure();
-  EXPECT_EQ(report.domains.size(), 15u);  // 5 modes x 3 seeds
+  opt.fault_seed_base = 0xFC4405ull;
+  opt.rate = 0.1;
+  expect_model_resilient<fv3::DistributedModel>(cfg, "baro", opt);
+}
+
+TEST(Chaos, SweResilientAcrossFaultModes) {
+  // The shallow-water core through the same sweep: message faults and rank
+  // crashes (rollback-restart) on the second program shape.
+  swe::SweConfig cfg;
+  cfg.npx = 12;
+  cfg.ntracers = 1;
+
+  verify::FaultToleranceOptions opt;
+  opt.seeds_per_mode = 3;
+  expect_model_resilient<swe::SweModel>(cfg, "hill", opt);
 }
 
 }  // namespace

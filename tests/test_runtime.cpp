@@ -10,7 +10,7 @@
 #include "core/dsl/builder.hpp"
 #include "core/util/rng.hpp"
 #include "core/verify/random_program.hpp"
-#include "fv3/verify_distributed.hpp"
+#include "fv3/driver.hpp"
 #include "grid/partitioner.hpp"
 
 namespace cyclone::comm {
@@ -140,20 +140,6 @@ TEST(Runtime, OverlapAnalysisAllowsVerticalRecurrence) {
 
 // ---- Concurrent runtime ----------------------------------------------------
 
-std::vector<exec::LaunchDomain> domains_for(const grid::Partitioner& part, int nk) {
-  std::vector<exec::LaunchDomain> doms;
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const auto info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    doms.push_back(dom);
-  }
-  return doms;
-}
-
 TEST(Distributed, DiffusionAgreesAcrossRankCountsAndBudgets) {
   // The acceptance sweep: rank counts x thread budgets x >= 20 randomized
   // arrival orders, overlap on and off, all bitwise against lockstep.
@@ -196,19 +182,9 @@ TEST(Distributed, OverlapActuallySplitsStates) {
   const ir::Program p = make_diffusion_program();
   const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
   const HaloUpdater halo(part, 3);
-  const auto doms = domains_for(part, 3);
+  verify::SeededRanks set(p, part, 3, 0xABC);
 
-  std::vector<FieldCatalog> cats;
-  std::vector<RankDomain> ranks;
-  for (int r = 0; r < 6; ++r) {
-    cats.push_back(verify::make_test_catalog(p, p, doms[static_cast<size_t>(r)],
-                                             Rng::mix(0xABC, static_cast<uint64_t>(r))));
-  }
-  for (int r = 0; r < 6; ++r) {
-    ranks.push_back(RankDomain{&cats[static_cast<size_t>(r)], doms[static_cast<size_t>(r)]});
-  }
-
-  ConcurrentRuntime rt(p, halo, ranks, RuntimeOptions{});
+  ConcurrentRuntime rt(p, halo, set.ranks, RuntimeOptions{});
   EXPECT_TRUE(rt.plan(1).splittable);
   rt.step();
   rt.step();
@@ -220,21 +196,14 @@ TEST(Distributed, OverlapActuallySplitsStates) {
 /// One lockstep member: its own program copy, halo updater, comm and
 /// seeded per-rank catalogs.
 struct LockstepFixture {
-  LockstepFixture(const ir::Program& p, const grid::Partitioner& part,
-                  const std::vector<exec::LaunchDomain>& doms, uint64_t seed)
-      : program(p), halo(part, 3), comm(part.num_ranks()) {
-    for (size_t r = 0; r < doms.size(); ++r) {
-      cats.push_back(verify::make_test_catalog(p, p, doms[r], Rng::mix(seed, r)));
-    }
-    for (size_t r = 0; r < doms.size(); ++r) ranks.push_back(RankDomain{&cats[r], doms[r]});
-  }
-  LockstepMember member() { return LockstepMember{&program, &halo, &ranks, &comm}; }
+  LockstepFixture(const ir::Program& p, const grid::Partitioner& part, int nk, uint64_t seed)
+      : program(p), halo(part, 3), comm(part.num_ranks()), set(p, part, nk, seed) {}
+  LockstepMember member() { return LockstepMember{&program, &halo, &set.ranks, &comm}; }
 
   ir::Program program;
   HaloUpdater halo;
   SimComm comm;
-  std::vector<FieldCatalog> cats;
-  std::vector<RankDomain> ranks;
+  verify::SeededRanks set;
 };
 
 TEST(Distributed, MemberLoopLockstepMatchesOneMemberPasses) {
@@ -245,7 +214,7 @@ TEST(Distributed, MemberLoopLockstepMatchesOneMemberPasses) {
                                        make_looped_program()};
   for (const uint64_t seed : {3u, 17u, 42u}) programs.push_back(verify::random_program(seed));
   const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
-  const auto doms = domains_for(part, 4);
+  constexpr int kNk = 4;
   constexpr int kSteps = 2;
   for (size_t pi = 0; pi < programs.size(); ++pi) {
     const ir::Program& p = programs[pi];
@@ -253,26 +222,22 @@ TEST(Distributed, MemberLoopLockstepMatchesOneMemberPasses) {
       std::vector<std::unique_ptr<LockstepFixture>> batched;
       std::vector<LockstepMember> members;
       for (int m = 0; m < k; ++m) {
-        batched.push_back(std::make_unique<LockstepFixture>(p, part, doms, Rng::mix(0xBA7C, m)));
+        batched.push_back(std::make_unique<LockstepFixture>(p, part, kNk, Rng::mix(0xBA7C, m)));
         members.push_back(batched.back()->member());
       }
       for (int s = 0; s < kSteps; ++s) run_lockstep_step(members);
 
       for (int m = 0; m < k; ++m) {
-        LockstepFixture solo(p, part, doms, Rng::mix(0xBA7C, m));
+        LockstepFixture solo(p, part, kNk, Rng::mix(0xBA7C, m));
         for (int s = 0; s < kSteps; ++s) {
-          run_lockstep_step(solo.program, solo.halo, solo.ranks, solo.comm);
+          run_lockstep_step(solo.program, solo.halo, solo.set.ranks, solo.comm);
         }
         EXPECT_EQ(batched[static_cast<size_t>(m)]->comm.total_messages(),
                   solo.comm.total_messages());
-        for (size_t r = 0; r < doms.size(); ++r) {
-          for (const auto& name : solo.cats[r].names()) {
-            const verify::FieldDivergence d = verify::compare_fields_bitwise(
-                name, batched[static_cast<size_t>(m)]->cats[r].at(name), solo.cats[r].at(name));
-            EXPECT_TRUE(d.ok) << "program " << pi << " k=" << k << " member " << m << " rank "
-                              << r << " field " << name;
-          }
-        }
+        verify::DomainResult dr;
+        verify::compare_rank_sets(dr, solo.set.ranks, batched[static_cast<size_t>(m)]->set.ranks);
+        EXPECT_TRUE(dr.ok) << "program " << pi << " k=" << k << " member " << m << ": "
+                           << dr.fields.front().field << " diverges";
       }
     }
   }
@@ -289,12 +254,18 @@ TEST(Distributed, DycoreConcurrentMatchesLockstepBitwise) {
   cfg.ntracers = 2;
   cfg.dt = 300.0;
 
-  fv3::DycoreVerifyOptions opt;
+  // One configuration: thread budget 2, overlap on, one jitter seed.
+  verify::DistributedVerifyOptions opt;
+  opt.thread_budgets = {2};
+  opt.repetitions = 1;
+  opt.include_overlap_off = false;
   opt.steps = 2;
-  opt.run.threads_per_rank = 2;
-  opt.runtime.channel.arrival_jitter_seed = 0xFEED;
-  const verify::EquivalenceReport report = fv3::verify_concurrent_dycore(cfg, 6, opt);
+  fv3::DistributedModel lockstep(cfg, 6);
+  fv3::DistributedModel concurrent(cfg, 6);
+  const verify::EquivalenceReport report =
+      verify::check_distributed_agrees(lockstep, concurrent, "baro", opt);
   EXPECT_TRUE(report.equivalent) << report.first_failure();
+  EXPECT_EQ(report.domains.size(), 1u);
 }
 
 TEST(Distributed, RankFailurePropagatesAndAbortsChannel) {
@@ -304,22 +275,13 @@ TEST(Distributed, RankFailurePropagatesAndAbortsChannel) {
   const ir::Program p = make_diffusion_program();
   const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
   const HaloUpdater halo(part, 3);
-  const auto doms = domains_for(part, 3);
-
-  std::vector<FieldCatalog> cats(6);
-  std::vector<RankDomain> ranks;
-  for (int r = 0; r < 6; ++r) {
-    if (r != 2) {
-      cats[static_cast<size_t>(r)] = verify::make_test_catalog(
-          p, p, doms[static_cast<size_t>(r)], Rng::mix(0xABC, static_cast<uint64_t>(r)));
-    }
-    // Rank 2's catalog is empty: its thread throws on the first field lookup,
-    // and the abort must unblock every other rank's recv.
-    ranks.push_back(RankDomain{&cats[static_cast<size_t>(r)], doms[static_cast<size_t>(r)]});
-  }
+  verify::SeededRanks set(p, part, 3, 0xABC);
+  // Rank 2's catalog is empty: its thread throws on the first field lookup,
+  // and the abort must unblock every other rank's recv.
+  set.cats[2] = FieldCatalog{};
   RuntimeOptions opt;
   opt.channel.recv_timeout_seconds = 30.0;
-  ConcurrentRuntime rt(p, halo, ranks, opt);
+  ConcurrentRuntime rt(p, halo, set.ranks, opt);
   EXPECT_THROW(rt.step(), Error);
 }
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "core/dsl/builder.hpp"
 #include "core/ir/lint.hpp"
@@ -40,6 +43,45 @@ TEST(UlpDistance, NonFiniteHandling) {
   EXPECT_TRUE(std::isinf(ulp_distance(1.0, nan)));
   EXPECT_EQ(ulp_distance(inf, inf), 0.0);
   EXPECT_TRUE(std::isinf(ulp_distance(inf, -inf)));
+}
+
+TEST(Verify, CompareFieldsBitwiseRejectsSignedZeroAndNanPayload) {
+  // ulp_distance calls these pairs 0 ulps apart; the bitwise contract must
+  // not, on fields (halo cells included) and on assembled flat arrays alike.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double other_nan = std::bit_cast<double>(std::bit_cast<uint64_t>(nan) | 1u);
+  ASSERT_TRUE(std::isnan(other_nan));
+  FieldD a("q", 4, 3, 2, HaloSpec{1, 1});
+  a.fill(1.5);
+  FieldD b = a;
+  EXPECT_TRUE(compare_fields_bitwise("q", a, b).ok);
+
+  a(2, 1, 1) = 0.0;
+  b(2, 1, 1) = -0.0;
+  FieldDivergence d = compare_fields_bitwise("q", a, b);
+  EXPECT_FALSE(d.ok);
+  EXPECT_TRUE(std::isinf(d.max_ulps));
+  EXPECT_EQ(d.at_i, 2);
+  EXPECT_EQ(d.at_j, 1);
+  EXPECT_EQ(d.at_k, 1);
+
+  b(2, 1, 1) = 0.0;
+  a(-1, 3, 0) = nan;  // halo cell
+  b(-1, 3, 0) = nan;
+  EXPECT_TRUE(compare_fields_bitwise("q", a, b).ok);  // same payload: same bits
+  b(-1, 3, 0) = other_nan;
+  d = compare_fields_bitwise("q", a, b);
+  EXPECT_FALSE(d.ok);
+  EXPECT_EQ(d.at_i, -1);
+  EXPECT_EQ(d.at_j, 3);
+
+  using Flat = std::vector<double>;
+  EXPECT_TRUE(compare_fields_bitwise("g", Flat{1.0, nan}, Flat{1.0, nan}).ok);
+  EXPECT_FALSE(compare_fields_bitwise("g", Flat{0.0}, Flat{-0.0}).ok);
+  d = compare_fields_bitwise("g", Flat{1.0, nan}, Flat{1.0, other_nan});
+  EXPECT_FALSE(d.ok);
+  EXPECT_EQ(d.at_i, 1);
+  EXPECT_FALSE(compare_fields_bitwise("g", Flat{1.0}, Flat{}).ok);
 }
 
 TEST(Verify, DefaultDomainsCoverEdgePlacements) {

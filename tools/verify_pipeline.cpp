@@ -43,16 +43,15 @@
 #include "core/dsl/builder.hpp"
 #include "core/exec/engine.hpp"
 #include "core/tune/search.hpp"
-#include "core/util/rng.hpp"
 #include "core/tune/tunedb.hpp"
 #include "core/verify/pipeline.hpp"
 #include "core/verify/random_program.hpp"
 #include "core/verify/verify.hpp"
 #include "ensemble/service.hpp"
 #include "ensemble/verify_ensemble.hpp"
+#include "fv3/driver.hpp"
 #include "fv3/dyn_core.hpp"
 #include "fv3/state.hpp"
-#include "fv3/verify_distributed.hpp"
 #include "grid/partitioner.hpp"
 
 namespace {
@@ -393,22 +392,25 @@ int main(int argc, char** argv) {
       for (const auto& name : split_csv(fault_modes_csv)) {
         modes.push_back(verify::parse_fault_mode(name));
       }
+      verify::FaultToleranceOptions fo;
+      fo.modes = modes;
+      fo.seeds_per_mode = chaos_seeds;
+      fo.fault_seed_base = fault_seed;
+      fo.rate = fault_rate;
+      fo.steps = chaos_steps;
+      fo.data_seed = options.data_seed;
+      fo.crash_rank = crash_rank;
+      fo.crash_step = crash_step;
+      fo.recv_timeout_seconds = recv_timeout;
       verify::EquivalenceReport report;
       if (program_spec == "dycore") {
         fv3::FvConfig cfg;
         cfg.npx = 12;
         cfg.npz = 4;
         cfg.ntracers = 1;
-        fv3::DycoreChaosOptions co;
-        co.modes = modes;
-        co.seeds_per_mode = chaos_seeds;
-        co.fault_seed_base = fault_seed;
-        co.rate = fault_rate;
-        co.steps = chaos_steps;
-        co.crash_rank = crash_rank;
-        co.crash_step = crash_step;
-        co.recv_timeout_seconds = recv_timeout;
-        report = fv3::verify_resilient_dycore(cfg, ranks, co);
+        fv3::DistributedModel reference(cfg, ranks);
+        fv3::DistributedModel subject(cfg, ranks);
+        report = verify::check_fault_tolerant(reference, subject, "baro", fo);
       } else {
         ir::Program prog("empty");
         if (program_spec == "diffusion") {
@@ -421,16 +423,6 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "unknown chaos program spec '%s'\n", program_spec.c_str());
           return 2;
         }
-        verify::FaultToleranceOptions fo;
-        fo.modes = modes;
-        fo.seeds_per_mode = chaos_seeds;
-        fo.fault_seed_base = fault_seed;
-        fo.rate = fault_rate;
-        fo.steps = chaos_steps;
-        fo.data_seed = options.data_seed;
-        fo.crash_rank = crash_rank;
-        fo.crash_step = crash_step;
-        fo.recv_timeout_seconds = recv_timeout;
         const grid::Partitioner part = grid::Partitioner::for_ranks(12, ranks);
         report = verify::check_fault_tolerant(prog, part, /*nk=*/4, /*halo_width=*/3, fo);
       }
@@ -492,24 +484,6 @@ int main(int argc, char** argv) {
         const ir::Program prog = verify::make_elastic_program(1);
         const int n = 12, nk = 4, nranks = 6, isteps = steps_set ? ensemble_steps : 8;
         const grid::Partitioner part = grid::Partitioner::for_ranks(n, nranks);
-        std::vector<exec::LaunchDomain> doms;
-        for (int r = 0; r < part.num_ranks(); ++r) {
-          const auto info = part.info(r);
-          exec::LaunchDomain dom{info.ni, info.nj, nk};
-          dom.gi0 = info.i0;
-          dom.gj0 = info.j0;
-          dom.gni = part.n();
-          dom.gnj = part.n();
-          doms.push_back(dom);
-        }
-        auto catalogs_for = [&] {
-          std::vector<FieldCatalog> cats;
-          for (size_t r = 0; r < doms.size(); ++r) {
-            cats.push_back(
-                verify::make_test_catalog(prog, prog, doms[r], Rng::mix(options.data_seed, r)));
-          }
-          return cats;
-        };
 
         comm::ElasticOptions eo;
         eo.runtime.channel.recv_timeout_seconds = recv_timeout;
@@ -518,27 +492,21 @@ int main(int argc, char** argv) {
         eo.balancer.enabled = true;
         eo.balancer.trigger_ratio = 1.5;
         eo.balancer.warmup_steps = 2;
-        comm::ElasticRuntime ert(prog, nk, 3, part, catalogs_for(), eo);
+        verify::SeededRanks initial(prog, part, nk, options.data_seed);
+        comm::ElasticRuntime ert(prog, nk, 3, part, std::move(initial.cats), eo);
         const comm::ElasticReport ireport = ert.run(isteps);
         imbalance_json = comm::elastic_report_to_json(ireport);
         imbalance_ok = ireport.ok && ireport.rebalances >= 1;
         if (imbalance_ok) {
-          auto cats = catalogs_for();
-          std::vector<comm::RankDomain> rref;
-          for (size_t r = 0; r < cats.size(); ++r) {
-            rref.push_back(comm::RankDomain{&cats[r], doms[r]});
-          }
+          verify::SeededRanks ref(prog, part, nk, options.data_seed);
           const comm::HaloUpdater halo(part, 3);
           comm::SimComm sim(part.num_ranks());
-          for (int t = 0; t < isteps; ++t) comm::run_lockstep_step(prog, halo, rref, sim);
-          for (const auto& name : cats[0].names()) {
-            const auto want = comm::assemble_owned(part, rref, name);
-            const auto got = ert.assemble(name);
-            if (want.size() != got.size()) imbalance_ok = false;
-            for (size_t i = 0; imbalance_ok && i < want.size(); ++i) {
-              if (verify::ulp_distance(want[i], got[i]) != 0.0) imbalance_ok = false;
-            }
-            if (!imbalance_ok) {
+          for (int t = 0; t < isteps; ++t) comm::run_lockstep_step(prog, halo, ref.ranks, sim);
+          for (const auto& name : ref.cats[0].names()) {
+            const verify::FieldDivergence d = verify::compare_fields_bitwise(
+                name, comm::assemble_owned(part, ref.ranks, name), ert.assemble(name));
+            if (!d.ok) {
+              imbalance_ok = false;
               std::fprintf(stderr, "imbalance run diverged on field '%s'\n", name.c_str());
               break;
             }
