@@ -60,7 +60,7 @@ static_assert(sizeof(CyJitSlot) == 32, "generated kernels assume this layout");
 static_assert(sizeof(CyJitBounds) == 24, "generated kernels assume this layout");
 static_assert(sizeof(CyJitIv) == 24, "generated kernels assume this layout");
 
-/// Generated kernel entry point: `extern "C" void cyk_<n>(const CyJitArgs*)`.
+/// Generated kernel entry point: `extern "C" void cyk_kernel(const CyJitArgs*)`.
 using KernelFn = void (*)(const CyJitArgs*);
 
 }  // namespace cyclone::exec::jit

@@ -3,12 +3,12 @@
 #include <dlfcn.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "core/exec/jit/compiler.hpp"
 
@@ -32,15 +32,10 @@ std::string hex16(uint64_t v) {
   return buf;
 }
 
-std::string sanitize_tag(const std::string& tag) {
-  std::string out;
-  for (char c : tag) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
-                    c == '-' || c == '_';
-    out += ok ? c : '_';
-    if (out.size() >= 48) break;
-  }
-  return out.empty() ? "program" : out;
+std::shared_ptr<LoadedModule> load_so(const std::string& path) {
+  void* handle = dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
+  if (!handle) return nullptr;
+  return std::make_shared<LoadedModule>(handle);
 }
 
 }  // namespace
@@ -73,87 +68,131 @@ std::string KernelCache::default_dir() {
   return "/tmp/cyclone-jit";
 }
 
-std::string KernelCache::make_key(const std::string& tag, const std::string& source) {
-  const uint64_t h = fnv1a(toolchain_fingerprint(), fnv1a(source));
-  return sanitize_tag(tag) + "-" + hex16(h);
+std::string KernelCache::make_key(const std::string& source) {
+  return "cyk-" + hex16(fnv1a(toolchain_fingerprint(), fnv1a(source)));
 }
 
-std::shared_ptr<LoadedModule> KernelCache::load_so(const std::string& path) const {
-  void* handle = dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
-  if (!handle) return nullptr;
-  return std::make_shared<LoadedModule>(handle);
+void KernelCache::count(long CacheStats::*counter) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++(stats_.*counter);
+}
+
+std::shared_ptr<LoadedModule> KernelCache::find(const std::string& key) {
+  std::string unused;
+  return resolve(key, nullptr, unused);
 }
 
 std::shared_ptr<LoadedModule> KernelCache::get(const std::string& key, const std::string& source,
                                                std::string& error) {
-  std::lock_guard<std::mutex> lock(mu_);
+  return resolve(key, &source, error);
+}
 
-  // Level 1: loaded modules.
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    ++stats_.mem_hits;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
+std::shared_ptr<LoadedModule> KernelCache::resolve(const std::string& key,
+                                                   const std::string* source,
+                                                   std::string& error) {
+  std::promise<Outcome> promise;
+  for (;;) {
+    std::shared_future<Outcome> pending;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      // Level 1: loaded modules.
+      auto it = index_.find(key);
+      if (it != index_.end()) {
+        ++stats_.mem_hits;
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return it->second->second;
+      }
+      auto flight = in_flight_.find(key);
+      if (flight == in_flight_.end()) {
+        in_flight_.emplace(key, promise.get_future().share());
+        break;  // this thread loads or builds the key
+      }
+      if (!source) return nullptr;  // find() never waits on a compile
+      pending = flight->second;
+    }
+    const Outcome& done = pending.get();
+    if (done.mod) {
+      count(&CacheStats::mem_hits);
+      return done.mod;
+    }
+    if (!done.error.empty()) {
+      error = done.error;
+      return nullptr;
+    }
+    // The flight was a find() that missed on disk: take the key over.
   }
 
+  Outcome out;
+  try {
+    out = load_or_build(key, source);
+  } catch (const std::exception& e) {
+    out = Outcome{nullptr, std::string("kernel cache: ") + e.what()};
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (out.mod) {
+      lru_.emplace_front(key, out.mod);
+      index_[key] = lru_.begin();
+      while (lru_.size() > max_memory_entries_) {
+        index_.erase(lru_.back().first);
+        lru_.pop_back();
+        ++stats_.evictions;
+      }
+    }
+    in_flight_.erase(key);
+  }
+  promise.set_value(out);
+  if (!out.mod) error = out.error;
+  return out.mod;
+}
+
+KernelCache::Outcome KernelCache::load_or_build(const std::string& key,
+                                                const std::string* source) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   const std::string so_path = dir_ + "/" + key + ".so";
   const std::string src_path = dir_ + "/" + key + ".cpp";
 
   // Level 2: on-disk object from an earlier process.
-  std::shared_ptr<LoadedModule> mod;
   if (fs::exists(so_path, ec)) {
-    mod = load_so(so_path);
-    if (mod) {
-      ++stats_.disk_hits;
-    } else {
-      // Poisoned entry (truncated write, wrong architecture, stale ABI that
-      // slipped past the key, deliberate corruption): discard and rebuild.
-      ++stats_.poisoned;
-      fs::remove(so_path, ec);
-      fs::remove(src_path, ec);
+    if (auto mod = load_so(so_path)) {
+      count(&CacheStats::disk_hits);
+      return {mod, {}};
     }
+    // Poisoned entry (truncated write, wrong architecture, stale ABI that
+    // slipped past the key, deliberate corruption): discard and rebuild.
+    count(&CacheStats::poisoned);
+    fs::remove(so_path, ec);
+    fs::remove(src_path, ec);
   }
+  if (!source) return {};
 
-  if (!mod) {
-    // Compile. Write source and object under temporary names and rename
-    // into place so a concurrent process never loads a partial file.
-    // Temp names keep the real extension last — the compiler infers the
-    // language from it.
-    const std::string tmp_tag = ".tmp" + std::to_string(static_cast<long>(::getpid()));
-    const std::string src_tmp = dir_ + "/" + key + tmp_tag + ".cpp";
-    const std::string so_tmp = dir_ + "/" + key + tmp_tag + ".so";
-    {
-      std::ofstream os(src_tmp);
-      os << source;
-      if (!os) {
-        error = "cannot write " + src_tmp;
-        return nullptr;
-      }
-    }
-    if (!compile_shared_object(src_tmp, so_tmp, error)) {
-      std::remove(src_tmp.c_str());
-      return nullptr;
-    }
-    ++stats_.compiles;
-    fs::rename(src_tmp, src_path, ec);
-    fs::rename(so_tmp, so_path, ec);
-    mod = load_so(so_path);
-    if (!mod) {
-      error = std::string("dlopen failed after compile: ") + (dlerror() ? dlerror() : "?");
-      return nullptr;
-    }
+  // Compile. Write source and object under temporary names and rename
+  // into place so a concurrent compile or process never loads a partial
+  // file. The names are unique per compile (pid + process-wide sequence
+  // number), and keep the real extension last — the compiler infers the
+  // language from it.
+  static std::atomic<unsigned long> sequence{0};
+  const std::string tmp_tag = ".tmp" + std::to_string(static_cast<long>(::getpid())) + "-" +
+                              std::to_string(sequence.fetch_add(1));
+  const std::string src_tmp = dir_ + "/" + key + tmp_tag + ".cpp";
+  const std::string so_tmp = dir_ + "/" + key + tmp_tag + ".so";
+  {
+    std::ofstream os(src_tmp);
+    os << *source;
+    if (!os) return {nullptr, "cannot write " + src_tmp};
   }
-
-  lru_.emplace_front(key, mod);
-  index_[key] = lru_.begin();
-  while (lru_.size() > max_memory_entries_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
+  std::string error;
+  if (!compile_shared_object(src_tmp, so_tmp, error)) {
+    std::remove(src_tmp.c_str());
+    return {nullptr, error};
   }
-  return mod;
+  count(&CacheStats::compiles);
+  fs::rename(src_tmp, src_path, ec);
+  fs::rename(so_tmp, so_path, ec);
+  if (auto mod = load_so(so_path)) return {mod, {}};
+  const char* why = dlerror();
+  return {nullptr, std::string("dlopen failed after compile: ") + (why ? why : "?")};
 }
 
 CacheStats KernelCache::stats() const {

@@ -374,9 +374,8 @@ void emit_plane_interval(std::ostringstream& os, const CInterval& iv, bool fwd, 
   os << "  }\n";
 }
 
-void emit_kernel(std::ostringstream& os, const CompiledStencil& cs, int index) {
-  os << "extern \"C\" void cyk_" << index << "(const CyJitArgs* A) { // "
-     << cs.stencil().name() << "\n";
+void emit_kernel(std::ostringstream& os, const CompiledStencil& cs) {
+  os << "extern \"C\" void " << kKernelSymbol << "(const CyJitArgs* A) {\n";
   os << "  const CyJitSlot* CY_S = A->slots;\n";
   os << "  const double* CY_P = A->params;\n";
   os << "  const int cy_nt = A->num_threads;\n";
@@ -422,7 +421,12 @@ int flat_interval_count(const CompiledStencil& cs) {
   return n;
 }
 
-std::string emit_translation_unit(const std::vector<const CompiledStencil*>& stencils) {
+namespace {
+
+/// Everything a kernel needs besides its own body: libm prototypes, the ABI
+/// structs and the op helpers. Identical for every kernel, so it never
+/// distinguishes two cache keys.
+std::string emit_prelude() {
   std::ostringstream os;
   os << "// Generated by the cyclone JIT backend; do not edit.\n";
   os << "// ABI v1 — must match src/core/exec/jit/abi.hpp.\n";
@@ -470,9 +474,16 @@ std::string emit_translation_unit(const std::vector<const CompiledStencil*>& ste
   os << "  for (int m = 0; m < (n < 0 ? -n : n); ++m) acc *= x;\n";
   os << "  return n < 0 ? 1.0 / acc : acc;\n";
   os << "}\n\n";
-  for (size_t s = 0; s < stencils.size(); ++s) {
-    emit_kernel(os, *stencils[s], static_cast<int>(s));
-  }
+  return os.str();
+}
+
+}  // namespace
+
+std::string emit_kernel_unit(const CompiledStencil& cs) {
+  static const std::string prelude = emit_prelude();
+  std::ostringstream os;
+  os << prelude;
+  emit_kernel(os, cs);
   return os.str();
 }
 

@@ -1,15 +1,29 @@
 #include "core/exec/jit/jit.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <system_error>
+#include <thread>
 
 #include "core/exec/engine.hpp"
 #include "core/exec/jit/codegen.hpp"
-#include "core/exec/jit/compiler.hpp"
 
 namespace cyclone::exec::jit {
 
 namespace {
+
+/// CPUs this process may run on (its affinity mask), at least 1.
+size_t available_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<size_t>(std::max(1, CPU_COUNT(&set)));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 /// Native kernels bake the i stride as 1 and restrict-qualify output rows,
 /// so they only run when every slot is I-contiguous and no two slots alias
@@ -29,28 +43,74 @@ bool jit_runnable(const std::vector<SlotBind>& slots) {
 
 std::shared_ptr<JitProgram> JitProgram::build(const std::string& tag,
                                               const StencilList& stencils, KernelCache& cache) {
-  auto jp = std::make_shared<JitProgram>();
-  std::vector<const CompiledStencil*> ptrs;
-  ptrs.reserve(stencils.size());
-  for (const auto& [name, cs] : stencils) ptrs.push_back(cs.get());
-  const std::string source = emit_translation_unit(ptrs);
-  const std::string key = KernelCache::make_key(tag, source);
-  std::string err;
-  std::shared_ptr<LoadedModule> mod = cache.get(key, source, err);
-  if (!mod) {
-    jp->error_ = err;
-    return jp;
+  // One unit per distinct kernel source, shared by every stencil that
+  // lowers to it.
+  struct Unit {
+    std::string name;  ///< first stencil lowering to it, for diagnostics
+    std::string source;
+    std::string key;
+    std::shared_ptr<LoadedModule> mod;
+    std::string error;
+  };
+  std::vector<Unit> units;
+  std::map<std::string, size_t> unit_of_key;
+  std::vector<size_t> unit_of_stencil;
+  unit_of_stencil.reserve(stencils.size());
+  for (const auto& [name, cs] : stencils) {
+    std::string source = emit_kernel_unit(*cs);
+    std::string key = KernelCache::make_key(source);
+    auto [it, fresh] = unit_of_key.emplace(key, units.size());
+    if (fresh) units.push_back(Unit{name, std::move(source), std::move(key), nullptr, {}});
+    unit_of_stencil.push_back(it->second);
   }
-  for (size_t s = 0; s < ptrs.size(); ++s) {
-    void* sym = mod->symbol("cyk_" + std::to_string(s));
-    if (!sym) {
-      jp->error_ = "module " + key + " lacks symbol cyk_" + std::to_string(s);
-      jp->kernels_.clear();
-      return jp;
+
+  // Loaded or on disk first; then compile what is left, one host-compiler
+  // process per worker. The calling thread is one of the workers.
+  std::vector<size_t> misses;
+  for (size_t u = 0; u < units.size(); ++u) {
+    units[u].mod = cache.find(units[u].key);
+    if (!units[u].mod) misses.push_back(u);
+  }
+  std::atomic<size_t> next{0};
+  auto compile_misses = [&] {
+    for (size_t m = next++; m < misses.size(); m = next++) {
+      Unit& unit = units[misses[m]];
+      try {
+        unit.mod = cache.get(unit.key, unit.source, unit.error);
+      } catch (const std::exception& e) {
+        unit.error = e.what();
+      }
     }
-    jp->kernels_[ptrs[s]] = reinterpret_cast<KernelFn>(sym);
+  };
+  const size_t workers = std::min(misses.size(), available_cpus());
+  std::vector<std::thread> helpers;
+  try {
+    while (helpers.size() + 1 < workers) helpers.emplace_back(compile_misses);
+  } catch (const std::system_error&) {
+    // Fewer helper threads than asked for; the queue still drains.
   }
-  jp->module_ = std::move(mod);
+  compile_misses();
+  for (std::thread& t : helpers) t.join();
+
+  auto jp = std::make_shared<JitProgram>();
+  std::vector<KernelFn> fns(units.size(), nullptr);
+  for (size_t u = 0; u < units.size(); ++u) {
+    Unit& unit = units[u];
+    if (unit.mod) {
+      fns[u] = reinterpret_cast<KernelFn>(unit.mod->symbol(kKernelSymbol));
+      if (fns[u]) {
+        jp->modules_.push_back(unit.mod);
+      } else {
+        unit.error = "module " + unit.key + " lacks symbol " + kKernelSymbol;
+      }
+    }
+    if (!unit.error.empty() && jp->error_.empty()) {
+      jp->error_ = "program '" + tag + "', kernel '" + unit.name + "': " + unit.error;
+    }
+  }
+  for (size_t s = 0; s < stencils.size(); ++s) {
+    if (KernelFn fn = fns[unit_of_stencil[s]]) jp->kernels_[stencils[s].second.get()] = fn;
+  }
   return jp;
 }
 
@@ -61,10 +121,8 @@ void JitProgram::run(const CompiledStencil& cs, FieldCatalog& catalog, const Ste
   const std::vector<double> params = cs.resolve_params(args);
 
   KernelFn fn = nullptr;
-  if (module_) {
-    auto it = kernels_.find(&cs);
-    if (it != kernels_.end()) fn = it->second;
-  }
+  auto it = kernels_.find(&cs);
+  if (it != kernels_.end()) fn = it->second;
   if (!fn || !jit_runnable(slots)) {
     ++fallbacks_;
     if (!warned_) {

@@ -12,26 +12,29 @@
 
 namespace cyclone::exec::jit {
 
-/// All stencils of one ir::Program lowered to native kernels in a single
-/// shared object (one codegen + one host-compiler invocation + one dlopen
-/// per program, the granularity DaCe compiles SDFGs at). Building never
-/// throws on toolchain problems: a program whose module cannot be produced
-/// degrades to the tape engine per call, with one logged warning.
+/// All stencils of one ir::Program lowered to native kernels, one
+/// content-addressed object per distinct kernel body (see
+/// emit_kernel_unit). Building resolves the kernels already loaded or on
+/// disk first, then compiles the missing ones concurrently, with at most
+/// one host-compiler process per CPU available to the process. Building
+/// never throws on toolchain problems: a stencil whose kernel cannot be
+/// produced degrades to the tape engine per call, with one logged warning.
 class JitProgram {
  public:
   using StencilList =
       std::vector<std::pair<std::string, std::shared_ptr<const CompiledStencil>>>;
 
-  /// Lower, compile (or fetch from `cache`), and bind `cyk_<n>` symbols.
-  /// `tag` keys the cache entry readably (usually the program name).
+  /// Lower, compile (or fetch from `cache`), and bind each stencil's kernel.
+  /// `tag` names the program in diagnostics (usually the program name).
   static std::shared_ptr<JitProgram> build(const std::string& tag, const StencilList& stencils,
                                            KernelCache& cache = KernelCache::global());
 
-  /// True when the native module is loaded and every stencil has a bound
-  /// kernel; false means every run() falls back to the tape engine.
-  [[nodiscard]] bool native() const { return module_ != nullptr; }
+  /// True when every stencil has a bound kernel; false means at least one
+  /// stencil falls back to the tape engine on every run().
+  [[nodiscard]] bool native() const { return error_.empty(); }
 
-  /// Why build() fell back, for diagnostics ("" when native).
+  /// Why build() fell back, naming the first kernel that failed ("" when
+  /// native).
   [[nodiscard]] const std::string& error() const { return error_; }
 
   /// Execute one stencil launch through its native kernel. Slot and
@@ -43,11 +46,12 @@ class JitProgram {
            const LaunchDomain& dom, const sched::Schedule& schedule, const RunOptions& run);
 
   /// Launches that took the tape-engine fallback path (guards or missing
-  /// module) since construction. Exposed for tests.
+  /// kernel) since construction. Exposed for tests.
   [[nodiscard]] long fallbacks() const { return fallbacks_; }
 
  private:
-  std::shared_ptr<LoadedModule> module_;
+  /// Keeps every module a bound kernel lives in loaded.
+  std::vector<std::shared_ptr<LoadedModule>> modules_;
   std::map<const CompiledStencil*, KernelFn> kernels_;
   std::string error_;
   /// Reused per-launch host tables and the two-phase commit buffer. A

@@ -149,9 +149,9 @@ void Program::precompile() const {
 
 void Program::ensure_jit() const {
   if (jit_) return;
-  // One translation unit for the whole program: collect every stencil in
-  // deterministic (state, node) order, deduplicated by identity, so the
-  // generated source — and hence the cache key — is stable across runs.
+  // Collect every stencil in deterministic (state, node) order,
+  // deduplicated by identity. JitProgram::build then shares one kernel
+  // object among all stencils whose generated source is identical.
   exec::jit::JitProgram::StencilList list;
   for (const auto& state : states_) {
     for (const auto& node : state.nodes) {

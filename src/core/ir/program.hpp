@@ -235,7 +235,7 @@ class Program {
   /// Executor caches keyed by StencilFunc identity.
   mutable std::map<const dsl::StencilFunc*, std::shared_ptr<exec::CompiledStencil>> compiled_;
   mutable std::map<const dsl::StencilFunc*, std::shared_ptr<exec::RefExecutor>> reference_;
-  /// Native-kernel module for the Jit backend (one per Program copy: its
+  /// Native kernels for the Jit backend (one JitProgram per Program copy: its
   /// scratch buffer, like the tape temp pool, must not cross rank threads).
   mutable std::shared_ptr<exec::jit::JitProgram> jit_;
 };

@@ -12,6 +12,9 @@
 namespace cyclone::fv3 {
 namespace {
 
+// All-int on purpose: gtest prints the parameter's raw bytes into each
+// test's registered name, and a bool member would leave padding bytes with
+// no fixed value there, so the names would change from build to build.
 struct SweepCase {
   int npx;
   int npz;
@@ -19,8 +22,9 @@ struct SweepCase {
   int n_split;
   int ntracers;
   int nord;
-  bool riem3;
+  int riem3;  ///< do_riem_solver3, 0 or 1
 };
+static_assert(sizeof(SweepCase) == 7 * sizeof(int), "SweepCase must have no padding");
 
 class DycoreSweep : public ::testing::TestWithParam<SweepCase> {};
 
@@ -33,7 +37,7 @@ TEST_P(DycoreSweep, StableConservativeDecompositionIndependent) {
   cfg.n_split = c.n_split;
   cfg.ntracers = c.ntracers;
   cfg.nord = c.nord;
-  cfg.do_riem_solver3 = c.riem3;
+  cfg.do_riem_solver3 = c.riem3 != 0;
   cfg.dt = 300.0;
 
   DistributedModel m6(cfg, 6);
@@ -56,13 +60,13 @@ TEST_P(DycoreSweep, StableConservativeDecompositionIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, DycoreSweep,
-    ::testing::Values(SweepCase{12, 8, 1, 2, 2, 1, true},   // default-ish
-                      SweepCase{12, 8, 2, 1, 2, 1, true},   // remap-heavy
-                      SweepCase{12, 6, 1, 3, 0, 1, true},   // no tracers
-                      SweepCase{12, 8, 1, 2, 2, 0, true},   // nord = 0
-                      SweepCase{12, 8, 1, 2, 2, 1, false},  // no riem3
-                      SweepCase{24, 4, 1, 1, 1, 1, true},   // wide & shallow
-                      SweepCase{12, 16, 1, 1, 1, 1, true}), // deep
+    ::testing::Values(SweepCase{12, 8, 1, 2, 2, 1, 1},    // default-ish
+                      SweepCase{12, 8, 2, 1, 2, 1, 1},    // remap-heavy
+                      SweepCase{12, 6, 1, 3, 0, 1, 1},    // no tracers
+                      SweepCase{12, 8, 1, 2, 2, 0, 1},    // nord = 0
+                      SweepCase{12, 8, 1, 2, 2, 1, 0},    // no riem3
+                      SweepCase{24, 4, 1, 1, 1, 1, 1},    // wide & shallow
+                      SweepCase{12, 16, 1, 1, 1, 1, 1}),  // deep
     [](const ::testing::TestParamInfo<SweepCase>& info) {
       const auto& c = info.param;
       return "c" + std::to_string(c.npx) + "z" + std::to_string(c.npz) + "k" +

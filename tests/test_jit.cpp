@@ -1,5 +1,6 @@
 // JIT codegen backend: kernel-cache behavior (miss/hit/eviction, on-disk
-// reuse across process "restarts", poisoned-entry recovery), tape-engine
+// reuse across process "restarts", poisoned-entry recovery, concurrent
+// gets), kernel sharing by content across stencils and programs, tape-engine
 // fallback paths, and translation validation of the generated native
 // kernels against the reference interpreter at 0 ULP — including the
 // 200-program random sweep across thread counts and the full baroclinic
@@ -7,7 +8,9 @@
 //
 // Naming note: suite/test names deliberately avoid the substrings the
 // sanitizer CI jobs select on (they would dlopen libgomp-linked kernels
-// into the clang/libomp TSan build).
+// into the clang/libomp TSan build). The one exception is
+// JitCache.ConcurrentGetCompilesEachKeyOnce, which the TSan job selects by
+// its full name: its probe modules contain no OpenMP code.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/dsl/builder.hpp"
 #include "core/exec/jit/cache.hpp"
@@ -76,10 +81,10 @@ TEST(JitCache, MissCompilesHitServesFromMemoryAndLruEvicts) {
   KernelCache cache(fresh_dir("lru"), /*max_memory_entries=*/2);
   std::string err;
 
-  auto a = cache.get(KernelCache::make_key("a", kProbeSrcA), kProbeSrcA, err);
+  auto a = cache.get(KernelCache::make_key(kProbeSrcA), kProbeSrcA, err);
   ASSERT_TRUE(a) << err;
   EXPECT_EQ(call_probe(a), 7);
-  auto a2 = cache.get(KernelCache::make_key("a", kProbeSrcA), kProbeSrcA, err);
+  auto a2 = cache.get(KernelCache::make_key(kProbeSrcA), kProbeSrcA, err);
   EXPECT_EQ(a.get(), a2.get());
   CacheStats st = cache.stats();
   EXPECT_EQ(st.compiles, 1);
@@ -87,14 +92,14 @@ TEST(JitCache, MissCompilesHitServesFromMemoryAndLruEvicts) {
   EXPECT_EQ(st.evictions, 0);
 
   // Two more distinct entries overflow the 2-entry memory level.
-  ASSERT_TRUE(cache.get(KernelCache::make_key("b", kProbeSrcB), kProbeSrcB, err)) << err;
-  ASSERT_TRUE(cache.get(KernelCache::make_key("c", kProbeSrcC), kProbeSrcC, err)) << err;
+  ASSERT_TRUE(cache.get(KernelCache::make_key(kProbeSrcB), kProbeSrcB, err)) << err;
+  ASSERT_TRUE(cache.get(KernelCache::make_key(kProbeSrcC), kProbeSrcC, err)) << err;
   st = cache.stats();
   EXPECT_EQ(st.compiles, 3);
   EXPECT_EQ(st.evictions, 1);
   // The evicted entry ('a', least recently used) reloads from disk, not a
   // recompile; the handle obtained before eviction stays valid throughout.
-  auto a3 = cache.get(KernelCache::make_key("a", kProbeSrcA), kProbeSrcA, err);
+  auto a3 = cache.get(KernelCache::make_key(kProbeSrcA), kProbeSrcA, err);
   ASSERT_TRUE(a3) << err;
   EXPECT_EQ(call_probe(a3), 7);
   EXPECT_EQ(call_probe(a), 7);
@@ -106,7 +111,7 @@ TEST(JitCache, MissCompilesHitServesFromMemoryAndLruEvicts) {
 TEST(JitCache, DiskEntriesSurviveRestart) {
   if (!have_compiler()) GTEST_SKIP() << "no host compiler";
   const std::string dir = fresh_dir("restart");
-  const std::string key = KernelCache::make_key("restart", kProbeSrcA);
+  const std::string key = KernelCache::make_key(kProbeSrcA);
   std::string err;
   {
     KernelCache first(dir);
@@ -127,7 +132,7 @@ TEST(JitCache, DiskEntriesSurviveRestart) {
 TEST(JitCache, PoisonedDiskEntryIsRebuiltNotFatal) {
   if (!have_compiler()) GTEST_SKIP() << "no host compiler";
   const std::string dir = fresh_dir("poison");
-  const std::string key = KernelCache::make_key("poison", kProbeSrcA);
+  const std::string key = KernelCache::make_key(kProbeSrcA);
   std::string err;
   {
     KernelCache first(dir);
@@ -147,15 +152,137 @@ TEST(JitCache, PoisonedDiskEntryIsRebuiltNotFatal) {
   EXPECT_EQ(st.disk_hits, 0);
 }
 
-// -------------------------------------------------------- fallbacks -----
+/// One in-flight compile per key: threads racing on one key all receive
+/// the single module its one compile produced, while distinct keys compile
+/// side by side (the host compile runs outside the cache lock). Runs under
+/// TSan in CI.
+TEST(JitCache, ConcurrentGetCompilesEachKeyOnce) {
+  if (!have_compiler()) GTEST_SKIP() << "no host compiler";
+  constexpr int kThreads = 4;
+  KernelCache cache(fresh_dir("concurrent"));
 
-dsl::StencilFunc cross_stencil() {
-  dsl::StencilBuilder b("cross");
+  std::vector<std::shared_ptr<exec::jit::LoadedModule>> same(kThreads);
+  std::vector<std::string> errors(kThreads);
+  {
+    std::vector<std::thread> threads;
+    const std::string key = KernelCache::make_key(kProbeSrcA);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] { same[t] = cache.get(key, kProbeSrcA, errors[t]); });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(same[t]) << errors[t];
+    EXPECT_EQ(same[t].get(), same[0].get()) << "thread " << t << " got a second module";
+  }
+  EXPECT_EQ(call_probe(same[0]), 7);
+  EXPECT_EQ(cache.stats().compiles, 1);
+
+  std::vector<std::string> sources;
+  for (int t = 0; t < kThreads; ++t) {
+    sources.push_back("extern \"C\" int cy_probe(void) { return " + std::to_string(100 + t) +
+                      "; }\n");
+  }
+  std::vector<std::shared_ptr<exec::jit::LoadedModule>> distinct(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        distinct[t] = cache.get(KernelCache::make_key(sources[t]), sources[t], errors[t]);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(distinct[t]) << errors[t];
+    EXPECT_EQ(call_probe(distinct[t]), 100 + t);
+  }
+  EXPECT_EQ(cache.stats().compiles, 1 + kThreads);
+}
+
+// -------------------------------------------------- kernel sharing -----
+
+dsl::StencilFunc cross_stencil(const std::string& name = "cross") {
+  dsl::StencilBuilder b(name);
   auto in = b.field("in");
   auto out = b.field("out");
   b.parallel().full().assign(out, in(1, 0) + in(-1, 0) + in(0, 1) + in(0, -1));
   return b.build();
 }
+
+dsl::StencilFunc blend_stencil(const std::string& name, double weight) {
+  dsl::StencilBuilder b(name);
+  auto in = b.field("in");
+  auto out = b.field("out");
+  b.parallel().full().assign(out, weight * dsl::E(in) + in(0, 1));
+  return b.build();
+}
+
+/// One node per (stencil, in, out) triple, each node its own StencilFunc.
+struct NodeSpec {
+  dsl::StencilFunc stencil;
+  std::string in, out;
+};
+
+ir::Program chain_program(const std::string& name, const std::vector<NodeSpec>& nodes) {
+  ir::Program p(name);
+  ir::State state{"s", {}};
+  for (const NodeSpec& n : nodes) {
+    exec::StencilArgs args;
+    args.bind = {{"in", n.in}, {"out", n.out}};
+    state.nodes.push_back(ir::SNode::make_stencil(n.stencil.name(), n.stencil, args));
+  }
+  p.append_state(std::move(state));
+  return p;
+}
+
+exec::jit::JitProgram::StencilList stencil_list(const std::vector<NodeSpec>& nodes) {
+  exec::jit::JitProgram::StencilList list;
+  for (const NodeSpec& n : nodes) {
+    list.emplace_back(n.stencil.name(), std::make_shared<exec::CompiledStencil>(n.stencil));
+  }
+  return list;
+}
+
+exec::RunOptions jit_run(int threads) {
+  exec::RunOptions run;
+  run.backend = exec::ExecBackend::Jit;
+  run.num_threads = threads;
+  return run;
+}
+
+/// Kernel objects are addressed by generated source, not by stencil
+/// identity or name: content-identical stencils share one object within a
+/// program, and a second program reuses every kernel it has in common with
+/// the first, compiling only the one it adds.
+TEST(JitKernelSharing, IdenticalKernelsCompileOnceWithinAndAcrossPrograms) {
+  if (!have_compiler()) GTEST_SKIP() << "no host compiler";
+  // "cross" and "cross_copy" are distinct StencilFunc objects with one body.
+  const std::vector<NodeSpec> first = {{cross_stencil(), "f0", "f1"},
+                                       {cross_stencil("cross_copy"), "f1", "f2"},
+                                       {blend_stencil("blend", 0.5), "f2", "f3"}};
+  const std::vector<NodeSpec> second = {{cross_stencil(), "f0", "f1"},
+                                        {blend_stencil("blend", 0.5), "f1", "f2"},
+                                        {blend_stencil("blend", 0.25), "f2", "f3"}};
+  KernelCache cache(fresh_dir("sharing"));
+  auto a = exec::jit::JitProgram::build("first", stencil_list(first), cache);
+  ASSERT_TRUE(a->native()) << a->error();
+  EXPECT_EQ(cache.stats().compiles, 2) << "cross and cross_copy must share one object";
+
+  auto b = exec::jit::JitProgram::build("second", stencil_list(second), cache);
+  ASSERT_TRUE(b->native()) << b->error();
+  const CacheStats st = cache.stats();
+  EXPECT_EQ(st.compiles, 3) << "only the 0.25 blend is new in the second program";
+  EXPECT_EQ(st.mem_hits, 2);
+
+  for (const auto* nodes : {&first, &second}) {
+    const auto report =
+        verify::check_parallel_agrees(chain_program("sharing", *nodes), jit_run(2));
+    EXPECT_TRUE(report.equivalent) << report.first_failure();
+  }
+}
+
+// -------------------------------------------------------- fallbacks -----
 
 ir::Program cross_program(exec::StencilArgs args = {}) {
   ir::Program p("cross");
@@ -226,13 +353,6 @@ TEST(JitBackend, MissingCompilerDegradesGracefully) {
 
 // ----------------------------------------- translation validation -----
 
-exec::RunOptions jit_run(int threads) {
-  exec::RunOptions run;
-  run.backend = exec::ExecBackend::Jit;
-  run.num_threads = threads;
-  return run;
-}
-
 TEST(JitBackend, CrossStencilBitwiseVsInterpreter) {
   if (!have_compiler()) GTEST_SKIP() << "no host compiler";
   const auto report = verify::check_parallel_agrees(cross_program(), jit_run(2));
@@ -244,8 +364,8 @@ TEST(JitBackend, CrossStencilBitwiseVsInterpreter) {
 /// counts {1, 2, 7} over a reduced domain list — bulk, corner placement on
 /// a larger global tile, and a degenerate strip — and compared bitwise
 /// against the serial reference interpreter. One compiled module per
-/// program serves all thread counts (schedule knobs are runtime
-/// arguments), keeping the sweep at 200 host-compiler invocations.
+/// kernel serves all thread counts (schedule knobs are runtime arguments),
+/// and kernels shared between programs compile once.
 TEST(JitSweep, TwoHundredRandomProgramsBitwiseAcrossThreads) {
   if (!have_compiler()) GTEST_SKIP() << "no host compiler";
   constexpr uint64_t kSweepBase = 0x9A7A11E1ull;  // matches the engine sweep
