@@ -102,8 +102,7 @@ double run_batched(int members, int steps, int npx, const exec::RunOptions& run)
   opts.members = ensemble::default_members(kBenchSeed, members);
   opts.run = run;
   ensemble::EnsembleRunner<swe::SweModel> runner(
-      ensemble::standard_swe_config(npx, /*ntracers=*/2), std::move(opts));
-  runner.init("hill");
+      ensemble::standard_swe_config(npx, /*ntracers=*/2), std::move(opts), "hill");
   runner.run(steps);
   return timer.seconds();
 }

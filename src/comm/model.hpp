@@ -40,7 +40,9 @@ struct InitialCondition {
 ///
 /// The program is shared — horizontal regions resolve per rank through the
 /// launch domain's global placement, exactly as in the distributed GT4Py
-/// model.
+/// model. No node captures the state it was built from, so one program also
+/// serves every clone of a model and every later model of the same config
+/// (the ensemble's members and the forecast service's cached shapes).
 ///
 /// `Core` supplies only what differs between cores:
 ///  - the State, Config, Schedules and Diagnostics types;
@@ -56,26 +58,46 @@ class Model {
   using Schedules = typename Core::Schedules;
   using Diagnostics = typename Core::Diagnostics;
   using ExecMode = comm::ExecMode;
+  /// Optionally a per-rank FieldPlacer routing every state-field allocation
+  /// into external storage (the ensemble runtime's member-major arenas);
+  /// empty = each state owns its fields.
+  using Placers = std::function<FieldPlacer(int rank)>;
 
   /// The core's name in the service and corpus vocabulary.
   static constexpr const char* core_name = Core::name;
 
-  /// `placers` optionally supplies a per-rank FieldPlacer routing every
-  /// state-field allocation into external storage (the ensemble runtime's
-  /// member-major arenas); empty = each state owns its fields.
   Model(const Config& config, int num_ranks, const Schedules& schedules = Schedules::tuned(),
-        const std::function<FieldPlacer(int rank)>& placers = {})
-      : config_(config),
-        part_(grid::Partitioner::for_ranks(config.npx, num_ranks)),
+        const Placers& placers = {})
+      : Model(config, num_ranks, placers) {
+    program_ = std::make_shared<ir::Program>(Core::build_program(*states_[0], schedules));
+  }
+
+  /// Fresh states running `program`, already built for this config.
+  Model(const Config& config, int num_ranks, std::shared_ptr<ir::Program> program,
+        const Placers& placers = {})
+      : Model(config, num_ranks, placers) {
+    CY_REQUIRE_MSG(program, "model needs a program");
+    program_ = std::move(program);
+  }
+
+  /// A clone of `source`: every rank's fields are byte copies of the
+  /// source's, halos included, placed through `placers`, and the halo plans
+  /// are copied. The program (with its compiled stencils and JIT bindings)
+  /// and every rank's grid geometry are shared, not rebuilt, so run options
+  /// set on either model apply to both.
+  Model(const Model& source, const Placers& placers)
+      : config_(source.config_),
+        part_(source.part_),
+        program_(source.program_),
         comm_(part_.num_ranks()),
-        halo_(part_, 3) {
+        halo_(source.halo_),
+        exec_mode_(source.exec_mode_),
+        runtime_options_(source.runtime_options_) {
     for (int r = 0; r < part_.num_ranks(); ++r) {
       states_.push_back(
-          std::make_unique<State>(config_, part_, r, placers ? placers(r) : FieldPlacer{}));
+          std::make_unique<State>(source.state(r), placers ? placers(r) : FieldPlacer{}));
     }
-    program_ = Core::build_program(*states_[0], schedules);
-    ranks_.reserve(states_.size());
-    for (auto& st : states_) ranks_.push_back(RankDomain{&st->catalog(), st->domain()});
+    bind_ranks();
   }
 
   [[nodiscard]] const Config& config() const { return config_; }
@@ -83,8 +105,11 @@ class Model {
   [[nodiscard]] int num_ranks() const { return part_.num_ranks(); }
   [[nodiscard]] State& state(int rank) { return *states_[static_cast<size_t>(rank)]; }
   [[nodiscard]] const State& state(int rank) const { return *states_[static_cast<size_t>(rank)]; }
-  [[nodiscard]] const ir::Program& program() const { return program_; }
-  [[nodiscard]] ir::Program& program() { return program_; }
+  [[nodiscard]] const ir::Program& program() const { return *program_; }
+  [[nodiscard]] ir::Program& program() { return *program_; }
+  /// The program as shared by this model's clones (what a later model of
+  /// the same config may run, see the program constructor).
+  [[nodiscard]] const std::shared_ptr<ir::Program>& shared_program() const { return program_; }
   [[nodiscard]] SimComm& comm() { return comm_; }
   [[nodiscard]] const HaloUpdater& halo_updater() const { return halo_; }
   [[nodiscard]] HaloUpdater& halo_updater() { return halo_; }
@@ -101,10 +126,10 @@ class Model {
   /// them (it stays the serial oracle). In Concurrent mode these also seed
   /// the per-rank programs (threads_per_rank caps each rank's OpenMP team).
   void set_run_options(const exec::RunOptions& run) {
-    program_.set_run_options(run);
+    program_->set_run_options(run);
     runtime_.reset();  // per-rank program copies carry stale options
   }
-  [[nodiscard]] const exec::RunOptions& run_options() const { return program_.run_options(); }
+  [[nodiscard]] const exec::RunOptions& run_options() const { return program_->run_options(); }
 
   /// Select the scheduler used by step(). Concurrent mode builds the
   /// thread-per-rank runtime lazily on the first step.
@@ -122,15 +147,15 @@ class Model {
   [[nodiscard]] ConcurrentRuntime& concurrent_runtime() {
     if (!runtime_) {
       RuntimeOptions options = runtime_options_;
-      options.run = program_.run_options();
-      runtime_ = std::make_unique<ConcurrentRuntime>(program_, halo_, ranks_, options);
+      options.run = program_->run_options();
+      runtime_ = std::make_unique<ConcurrentRuntime>(*program_, halo_, ranks_, options);
     }
     return *runtime_;
   }
 
   /// This model as one member of a lockstep pass (see run_lockstep_step).
   [[nodiscard]] LockstepMember lockstep_member() {
-    return LockstepMember{&program_, &halo_, &ranks_, &comm_};
+    return LockstepMember{program_.get(), &halo_, &ranks_, &comm_};
   }
 
   /// Advance one physics timestep on every rank.
@@ -139,7 +164,7 @@ class Model {
       concurrent_runtime().step();
       return;
     }
-    run_lockstep_step(program_, halo_, ranks_, comm_);
+    run_lockstep_step(*program_, halo_, ranks_, comm_);
   }
 
   /// Advance `steps` timesteps through the self-healing concurrent runtime:
@@ -228,11 +253,29 @@ class Model {
   }
 
  private:
+  /// Fresh states; the public constructors supply the program.
+  Model(const Config& config, int num_ranks, const Placers& placers)
+      : config_(config),
+        part_(grid::Partitioner::for_ranks(config.npx, num_ranks)),
+        comm_(part_.num_ranks()),
+        halo_(part_, 3) {
+    for (int r = 0; r < part_.num_ranks(); ++r) {
+      states_.push_back(
+          std::make_unique<State>(config_, part_, r, placers ? placers(r) : FieldPlacer{}));
+    }
+    bind_ranks();
+  }
+
+  void bind_ranks() {
+    ranks_.reserve(states_.size());
+    for (auto& st : states_) ranks_.push_back(RankDomain{&st->catalog(), st->domain()});
+  }
+
   Config config_;
   grid::Partitioner part_;
   std::vector<std::unique_ptr<State>> states_;
   std::vector<RankDomain> ranks_;  ///< one per state, bound at construction
-  ir::Program program_;
+  std::shared_ptr<ir::Program> program_;
   SimComm comm_;
   HaloUpdater halo_;
   ExecMode exec_mode_ = ExecMode::Lockstep;

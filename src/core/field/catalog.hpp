@@ -40,6 +40,13 @@ class FieldCatalog {
     return create(name, FieldShape(ni, nj, nk, halo, layout, align_elems));
   }
 
+  /// Create a field of the same name and shape for every field `source`
+  /// owns (aliases are not followed) and copy its bytes, halos included.
+  /// The new fields land through this catalog's placer.
+  void clone_fields(const FieldCatalog& source) {
+    for (const auto& [name, field] : source.fields_) create(name, field->shape()).copy_from(*field);
+  }
+
   /// Register an externally-owned field under an alias (non-owning). The
   /// caller must keep it alive; used to bind stencil formal names to model
   /// state fields.

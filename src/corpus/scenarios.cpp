@@ -123,8 +123,7 @@ verify::ScenarioResult run_ensemble_scenario(const std::string& scenario,
   opts.run = spec.run;
   if (spec.concurrent) opts.scheduler = ensemble::EnsembleOptions::Scheduler::Concurrent;
   if (spec.chaos) opts.runtime = chaos_runtime_options(scenario);
-  ensemble::EnsembleRunner<Model> runner(cfg, std::move(opts));
-  runner.init(ic);
+  ensemble::EnsembleRunner<Model> runner(cfg, std::move(opts), ic);
   if (spec.chaos) {
     const comm::RunReport report = runner.run_resilient(steps);
     CY_REQUIRE_MSG(report.ok,

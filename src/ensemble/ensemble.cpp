@@ -15,18 +15,28 @@ std::vector<MemberSpec> default_members(uint64_t seed, int count) {
 }
 
 template <class Model>
-EnsembleRunner<Model>::EnsembleRunner(const Config& config, EnsembleOptions options)
+EnsembleRunner<Model>::EnsembleRunner(const Config& config, EnsembleOptions options,
+                                      const std::string& ic, std::shared_ptr<ir::Program> program)
     : config_(config),
       options_(std::move(options)),
       arena_(static_cast<int>(options_.members.size())) {
   CY_REQUIRE_MSG(!options_.members.empty(), "ensemble needs at least one member");
   const int n = members();
+  auto placers = [this](int m) {
+    return [this, m](int rank) { return arena_.placer(m, rank); };
+  };
   models_.reserve(static_cast<size_t>(n));
-  for (int m = 0; m < n; ++m) {
-    auto placers = [this, m](int rank) { return arena_.placer(m, rank); };
+  if (program) {
+    models_.push_back(
+        std::make_unique<Model>(config_, options_.num_ranks, std::move(program), placers(0)));
+  } else {
     models_.push_back(std::make_unique<Model>(config_, options_.num_ranks,
-                                              Model::Schedules::tuned(), placers));
-    Model& model = *models_.back();
+                                              Model::Schedules::tuned(), placers(0)));
+  }
+  models_[0]->init(ic);
+  for (int m = 1; m < n; ++m) models_.push_back(std::make_unique<Model>(*models_[0], placers(m)));
+  for (int m = 0; m < n; ++m) {
+    Model& model = *models_[static_cast<size_t>(m)];
     model.set_run_options(options_.run);
     comm::RuntimeOptions runtime = options_.runtime;
     runtime.faults.seed = Rng::mix(runtime.faults.seed, static_cast<uint64_t>(m));
@@ -34,15 +44,7 @@ EnsembleRunner<Model>::EnsembleRunner(const Config& config, EnsembleOptions opti
     if (options_.scheduler == EnsembleOptions::Scheduler::Concurrent) {
       model.set_exec_mode(Model::ExecMode::Concurrent);
     }
-  }
-}
-
-template <class Model>
-void EnsembleRunner<Model>::init(const std::string& ic) {
-  for (int m = 0; m < members(); ++m) {
-    apply_initial_condition(*models_[static_cast<size_t>(m)], ic);
-    perturb_model(*models_[static_cast<size_t>(m)], options_.members[static_cast<size_t>(m)],
-                  options_.amplitude);
+    perturb_model(model, options_.members[static_cast<size_t>(m)], options_.amplitude);
   }
 }
 

@@ -48,22 +48,29 @@ struct EnsembleOptions {
 /// members. Every member is bitwise (0 ULP) identical to a solo run of the
 /// same (config, ic, spec) — the batching is pure iteration-space and
 /// storage reorganization, never a numerics change.
+///
+/// The shape is built once per batch: member 0 is constructed and given the
+/// initial condition, members 1..N-1 are clones of it (byte copies of its
+/// fields into their arena slots, sharing its program and grid geometry),
+/// and then every member is perturbed by its own stream.
 template <class Model>
 class EnsembleRunner {
  public:
   using Config = typename Model::Config;
 
-  EnsembleRunner(const Config& config, EnsembleOptions options);
+  /// Build the members and apply the named initial condition (throws on
+  /// unknown names), then each member's perturbation stream (member 0 of a
+  /// default roster stays the control). `program`, when given, is a program
+  /// already built for `config` (the forecast service's per-worker cache);
+  /// otherwise member 0 builds one.
+  EnsembleRunner(const Config& config, EnsembleOptions options, const std::string& ic,
+                 std::shared_ptr<ir::Program> program = {});
 
   [[nodiscard]] int members() const { return static_cast<int>(options_.members.size()); }
   [[nodiscard]] const EnsembleOptions& options() const { return options_; }
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] Model& member(int m) { return *models_[static_cast<size_t>(m)]; }
   [[nodiscard]] const MemberArena& arena() const { return arena_; }
-
-  /// Apply the named initial condition to every member, then each member's
-  /// perturbation stream (member 0 of a default roster stays the control).
-  void init(const std::string& ic);
 
   /// Advance every member one timestep under options().scheduler.
   void step();

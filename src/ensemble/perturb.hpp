@@ -57,12 +57,4 @@ void perturb_model(comm::Model<Core>& model, const MemberSpec& spec, double ampl
   model.exchange_prognostics();
 }
 
-/// Named initial-condition dispatch over the core's vocabulary (the corpus
-/// scenario ICs): dycore {"baro", "solid"}, SWE {"hill", "vortex", "jet"}.
-/// Throws on unknown names.
-template <class Core>
-void apply_initial_condition(comm::Model<Core>& model, const std::string& ic) {
-  model.init(ic);
-}
-
 }  // namespace cyclone::ensemble

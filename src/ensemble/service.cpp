@@ -23,6 +23,14 @@ void add_specs(std::vector<MemberSpec>& roster, const ForecastRequest& request) 
   }
 }
 
+/// Whether two requests run the same program: same core, grid (npx, the
+/// dycore's npz) and tracer count. The IC, steps, backend and chaos flag do
+/// not shape the program.
+bool same_program(const ForecastRequest& a, const ForecastRequest& b) {
+  return a.core == b.core && a.npx == b.npx && (a.core != "dycore" || a.npz == b.npz) &&
+         a.ntracers == b.ntracers;
+}
+
 std::string validate(const ForecastRequest& r) {
   std::string ic_error;
   if (r.core == fv3::DistributedModel::core_name) {
@@ -62,9 +70,8 @@ fv3::FvConfig standard_dycore_config(int npx, int npz, int ntracers) {
 }
 
 bool coalescible(const ForecastRequest& a, const ForecastRequest& b) {
-  return a.core == b.core && a.ic == b.ic && a.npx == b.npx &&
-         (a.core != "dycore" || a.npz == b.npz) && a.ntracers == b.ntracers &&
-         a.steps == b.steps && a.backend == b.backend && a.chaos == b.chaos;
+  return same_program(a, b) && a.ic == b.ic && a.steps == b.steps && a.backend == b.backend &&
+         a.chaos == b.chaos;
 }
 
 std::vector<size_t> coalesce_batch(const std::vector<ForecastRequest>& queue, int max_members) {
@@ -93,7 +100,7 @@ ForecastService::ForecastService(Options options) : options_(options) {
   CY_REQUIRE_MSG(options_.max_batch_members >= 1, "batch cap must be >= 1");
   workers_.reserve(static_cast<size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, w] { worker_loop(w); });
   }
 }
 
@@ -155,7 +162,36 @@ ServiceStats ForecastService::stats() const {
   return stats_;
 }
 
-void ForecastService::worker_loop() {
+/// One worker's built programs, most recently used first.
+class ForecastService::ProgramCache {
+ public:
+  /// The program built for `request`'s shape, now the most recent; null
+  /// when the worker never served the shape or has evicted it.
+  std::shared_ptr<ir::Program> find(const ForecastRequest& request) {
+    const auto it = std::find_if(entries_.begin(), entries_.end(),
+                                 [&](const Entry& e) { return same_program(e.shape, request); });
+    if (it == entries_.end()) return nullptr;
+    std::rotate(entries_.begin(), it, it + 1);
+    return entries_.front().program;
+  }
+
+  /// Keep `program` as the most recent shape, evicting the least recent
+  /// one beyond kProgramsPerWorker.
+  void put(const ForecastRequest& request, std::shared_ptr<ir::Program> program) {
+    entries_.insert(entries_.begin(), Entry{request, std::move(program)});
+    if (entries_.size() > static_cast<size_t>(kProgramsPerWorker)) entries_.pop_back();
+  }
+
+ private:
+  struct Entry {
+    ForecastRequest shape;
+    std::shared_ptr<ir::Program> program;
+  };
+  std::vector<Entry> entries_;
+};
+
+void ForecastService::worker_loop(int worker) {
+  ProgramCache programs;
   for (;;) {
     std::vector<Pending> batch;
     {
@@ -178,16 +214,22 @@ void ForecastService::worker_loop() {
       ++stats_.batches;
       if (batch.size() > 1) stats_.coalesced_requests += static_cast<long>(batch.size());
     }
-    run_batch(std::move(batch));
+    run_batch(std::move(batch), worker, programs);
   }
 }
 
 namespace {
 
+/// Run one batch on `program` (null: build it) and return the program the
+/// batch ran.
 template <class Model>
-void run_batch_core(const ForecastService::Options& options, const ForecastRequest& head,
-                    const typename Model::Config& config, const std::vector<MemberSpec>& roster,
-                    std::vector<MemberForecast>& out, comm::RunReport& report) {
+std::shared_ptr<ir::Program> run_batch_core(const ForecastService::Options& options,
+                                            const ForecastRequest& head,
+                                            const typename Model::Config& config,
+                                            const std::vector<MemberSpec>& roster,
+                                            std::shared_ptr<ir::Program> program,
+                                            std::vector<MemberForecast>& out,
+                                            comm::RunReport& report) {
   EnsembleOptions opts;
   opts.members = roster;
   opts.amplitude = options.amplitude;
@@ -195,8 +237,7 @@ void run_batch_core(const ForecastService::Options& options, const ForecastReque
   opts.run = options.run;
   opts.run.backend = head.backend;
   opts.runtime = options.runtime;
-  EnsembleRunner<Model> runner(config, std::move(opts));
-  runner.init(head.ic);
+  EnsembleRunner<Model> runner(config, std::move(opts), head.ic, std::move(program));
   if (head.chaos) {
     report = runner.run_resilient(head.steps);
     if (!report.ok) throw Error("resilient ensemble run failed: " + report.failure);
@@ -209,11 +250,13 @@ void run_batch_core(const ForecastService::Options& options, const ForecastReque
   for (int m = 0; m < runner.members(); ++m) {
     out.push_back(MemberForecast{roster[static_cast<size_t>(m)], runner.member(m).assemble()});
   }
+  return runner.member(0).shared_program();
 }
 
 }  // namespace
 
-void ForecastService::run_batch(std::vector<Pending> batch) {
+void ForecastService::run_batch(std::vector<Pending> batch, int worker,
+                                ProgramCache& programs) {
   const Clock::time_point start = Clock::now();
   const ForecastRequest& head = batch.front().request;
   std::vector<MemberSpec> roster;
@@ -222,15 +265,19 @@ void ForecastService::run_batch(std::vector<Pending> batch) {
   std::vector<MemberForecast> outputs;
   comm::RunReport report;
   std::string error;
+  std::shared_ptr<ir::Program> program = programs.find(head);
+  const bool program_cached = program != nullptr;
   try {
     if (head.core == fv3::DistributedModel::core_name) {
-      run_batch_core<fv3::DistributedModel>(
+      program = run_batch_core<fv3::DistributedModel>(
           options_, head, standard_dycore_config(head.npx, head.npz, head.ntracers), roster,
-          outputs, report);
+          std::move(program), outputs, report);
     } else {
-      run_batch_core<swe::SweModel>(options_, head, standard_swe_config(head.npx, head.ntracers),
-                                    roster, outputs, report);
+      program = run_batch_core<swe::SweModel>(options_, head,
+                                              standard_swe_config(head.npx, head.ntracers),
+                                              roster, std::move(program), outputs, report);
     }
+    if (!program_cached) programs.put(head, std::move(program));
   } catch (const std::exception& e) {
     error = e.what();
   }
@@ -243,6 +290,8 @@ void ForecastService::run_batch(std::vector<Pending> batch) {
     result.run_seconds = run_seconds;
     result.batch_members = static_cast<int>(roster.size());
     result.coalesced_requests = static_cast<int>(batch.size());
+    result.worker = worker;
+    result.program_cached = program_cached;
     result.report = report;
     if (error.empty()) {
       result.ok = true;

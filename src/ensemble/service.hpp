@@ -65,6 +65,8 @@ struct ForecastResult {
   int batch_members = 0;       ///< distinct member specs in the serving batch
   int coalesced_requests = 0;  ///< requests served by that batch
   long sequence = 0;           ///< global completion order (1-based)
+  int worker = 0;              ///< index of the worker that served the batch
+  bool program_cached = false; ///< the batch reused that worker's built program
   comm::RunReport report;      ///< chaos path accounting (restarts etc.)
 };
 
@@ -85,8 +87,18 @@ struct ServiceStats {
 /// asking for the same member share one integration). Futures complete in
 /// batch order, so a late-submitted request that coalesces with the running
 /// head can finish before an earlier incompatible one.
+///
+/// Each worker keeps the built programs of the last kProgramsPerWorker
+/// shapes (core, grid, tracer count) it served, evicting the least recently
+/// used, so a batch of a shape the worker has served before skips program
+/// construction and kernel binding. Workers share no programs.
 class ForecastService {
  public:
+  /// Programs one worker keeps: room for a mix of a few shapes (a small
+  /// dycore program with its compiled stencils is about 1 MB) while a
+  /// client sweeping many shapes keeps the worker's memory bounded.
+  static constexpr int kProgramsPerWorker = 4;
+
   struct Options {
     int num_ranks = 6;
     int workers = 1;
@@ -132,8 +144,10 @@ class ForecastService {
     std::chrono::steady_clock::time_point submitted;
   };
 
-  void worker_loop();
-  void run_batch(std::vector<Pending> batch);
+  class ProgramCache;
+
+  void worker_loop(int worker);
+  void run_batch(std::vector<Pending> batch, int worker, ProgramCache& programs);
 
   Options options_;
   mutable std::mutex mutex_;

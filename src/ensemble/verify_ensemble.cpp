@@ -13,7 +13,7 @@ std::unique_ptr<Model> solo_member(const typename Model::Config& config,
                                    double amplitude) {
   auto model = std::make_unique<Model>(config, num_ranks);
   model->set_run_options(run);
-  apply_initial_condition(*model, ic);
+  model->init(ic);
   perturb_model(*model, spec, amplitude);
   return model;
 }
@@ -44,8 +44,7 @@ EnsembleVerifyReport verify_batched_vs_solo(const typename Model::Config& config
         opts.run = run;
         opts.run.member_batch = options.member_batch;
         opts.scheduler = options.scheduler;
-        EnsembleRunner<Model> runner(config, std::move(opts));
-        runner.init(options.ic);
+        EnsembleRunner<Model> runner(config, std::move(opts), options.ic);
         runner.run(options.steps);
 
         for (int m = 0; m < runner.members(); ++m) {

@@ -23,10 +23,12 @@ const char* const kTransients[] = {
 
 ModelState::ModelState(const FvConfig& config, const grid::Partitioner& part, int rank,
                        FieldPlacer placer)
-    : config_(config), geom_(grid::GridGeometry::build(part, rank, kHalo)) {
+    : config_(config),
+      geom_(std::make_shared<const grid::GridGeometry>(
+          grid::GridGeometry::build(part, rank, kHalo))) {
   config_.validate();
   catalog_.set_placer(std::move(placer));
-  const grid::RankInfo& info = geom_.rank_info;
+  const grid::RankInfo& info = geom_->rank_info;
   domain_ = comm::launch_domain(part, rank, config_.npz);
 
   const int ni = info.ni, nj = info.nj, nk = config_.npz;
@@ -51,29 +53,14 @@ ModelState::ModelState(const FvConfig& config, const grid::Partitioner& part, in
 
   // Vertical-coordinate coefficient fields, broadcast over the horizontal
   // (GT4Py has no K-only axis fields either; see DESIGN.md).
-  catalog_.create("ak", i3d);
-  catalog_.create("bk", i3d);
+  FieldD& ak_field = catalog_.create("ak", i3d);
+  FieldD& bk_field = catalog_.create("bk", i3d);
 
   // Surface fields.
   catalog_.create("ps", p2d);
 
   // Metric terms (copied so stencils can address them by name).
-  for (const char* name : {"dx", "dy", "rdx", "rdy", "area", "rarea", "cosa", "sina", "fcor"}) {
-    catalog_.create(name, p2d);
-  }
-  for (int j = -kHalo; j < nj + kHalo; ++j) {
-    for (int i = -kHalo; i < ni + kHalo; ++i) {
-      catalog_.at("dx")(i, j) = geom_.dx(i, j);
-      catalog_.at("dy")(i, j) = geom_.dy(i, j);
-      catalog_.at("rdx")(i, j) = 1.0 / geom_.dx(i, j);
-      catalog_.at("rdy")(i, j) = 1.0 / geom_.dy(i, j);
-      catalog_.at("area")(i, j) = geom_.area(i, j);
-      catalog_.at("rarea")(i, j) = geom_.rarea(i, j);
-      catalog_.at("cosa")(i, j) = geom_.cosa(i, j);
-      catalog_.at("sina")(i, j) = geom_.sina(i, j);
-      catalog_.at("fcor")(i, j) = geom_.fcor(i, j);
-    }
-  }
+  geom_->add_metric_fields(catalog_);
 
   // Hybrid vertical coordinate: pe_ref(k) = ak(k) + bk(k) * ps.
   for (int k = 0; k <= nk; ++k) {
@@ -82,11 +69,17 @@ ModelState::ModelState(const FvConfig& config, const grid::Partitioner& part, in
     const double ak = config_.ptop * (1.0 - bk);
     for (int j = -kHalo; j < nj + kHalo; ++j) {
       for (int i = -kHalo; i < ni + kHalo; ++i) {
-        catalog_.at("ak")(i, j, k) = ak;
-        catalog_.at("bk")(i, j, k) = bk;
+        ak_field(i, j, k) = ak;
+        bk_field(i, j, k) = bk;
       }
     }
   }
+}
+
+ModelState::ModelState(const ModelState& source, FieldPlacer placer)
+    : config_(source.config_), geom_(source.geom_), domain_(source.domain_) {
+  catalog_.set_placer(std::move(placer));
+  catalog_.clone_fields(source.catalog_);
 }
 
 std::vector<std::string> ModelState::tracer_names() const {

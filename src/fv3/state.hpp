@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,8 +23,12 @@ class ModelState {
   ModelState(const FvConfig& config, const grid::Partitioner& part, int rank,
              FieldPlacer placer = {});
 
+  /// A copy of `source` on new storage: every catalog field's bytes, halos
+  /// included, land through `placer`; the read-only grid geometry is shared.
+  ModelState(const ModelState& source, FieldPlacer placer);
+
   [[nodiscard]] const FvConfig& config() const { return config_; }
-  [[nodiscard]] const grid::GridGeometry& geometry() const { return geom_; }
+  [[nodiscard]] const grid::GridGeometry& geometry() const { return *geom_; }
   [[nodiscard]] const exec::LaunchDomain& domain() const { return domain_; }
   [[nodiscard]] FieldCatalog& catalog() { return catalog_; }
   [[nodiscard]] const FieldCatalog& catalog() const { return catalog_; }
@@ -42,7 +47,7 @@ class ModelState {
 
  private:
   FvConfig config_;
-  grid::GridGeometry geom_;
+  std::shared_ptr<const grid::GridGeometry> geom_;
   exec::LaunchDomain domain_;
   FieldCatalog catalog_;
 };

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,8 +24,12 @@ class SweState {
   SweState(const SweConfig& config, const grid::Partitioner& part, int rank,
            FieldPlacer placer = {});
 
+  /// A copy of `source` on new storage: every catalog field's bytes, halos
+  /// included, land through `placer`; the read-only grid geometry is shared.
+  SweState(const SweState& source, FieldPlacer placer);
+
   [[nodiscard]] const SweConfig& config() const { return config_; }
-  [[nodiscard]] const grid::GridGeometry& geometry() const { return geom_; }
+  [[nodiscard]] const grid::GridGeometry& geometry() const { return *geom_; }
   [[nodiscard]] const exec::LaunchDomain& domain() const { return domain_; }
   [[nodiscard]] FieldCatalog& catalog() { return catalog_; }
   [[nodiscard]] const FieldCatalog& catalog() const { return catalog_; }
@@ -43,7 +48,7 @@ class SweState {
 
  private:
   SweConfig config_;
-  grid::GridGeometry geom_;
+  std::shared_ptr<const grid::GridGeometry> geom_;
   exec::LaunchDomain domain_;
   FieldCatalog catalog_;
 };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -63,7 +64,7 @@ TEST(EnsemblePerturb, SameSeedSameICsAcrossProcesses) {
   swe::SweModel a(cfg, 6);
   swe::SweModel b(cfg, 6);
   for (swe::SweModel* model : {&a, &b}) {
-    apply_initial_condition(*model, "hill");
+    model->init("hill");
     perturb_model(*model, spec, 1e-3);
   }
   for (int r = 0; r < a.num_ranks(); ++r) {
@@ -83,7 +84,7 @@ TEST(EnsemblePerturb, PerturbedICsAreDecompositionInvariant) {
   const int rank_counts[2] = {6, 24};
   for (int variant = 0; variant < 2; ++variant) {
     swe::SweModel model(cfg, rank_counts[variant]);
-    apply_initial_condition(model, "vortex");
+    model.init("vortex");
     perturb_model(model, spec, 1e-3);
     std::vector<verify::RankView> views;
     for (int r = 0; r < model.num_ranks(); ++r) {
@@ -108,7 +109,7 @@ TEST(EnsembleArena, MemberBlocksAreAdjacentAndMemberMajor) {
   const swe::SweConfig cfg = small_swe();
   EnsembleOptions opts;
   opts.members = default_members(1, 3);
-  SweEnsemble runner(cfg, std::move(opts));
+  SweEnsemble runner(cfg, std::move(opts), "hill");
   // Every member's copy of a (rank, field) sits in one block at offset
   // member * alloc_elems.
   for (int r = 0; r < runner.member(0).num_ranks(); ++r) {
@@ -131,8 +132,7 @@ TEST(EnsembleArena, FieldCopyOfViewOwnsItsStorage) {
   const swe::SweConfig cfg = small_swe();
   EnsembleOptions opts;
   opts.members = default_members(1, 2);
-  SweEnsemble runner(cfg, std::move(opts));
-  runner.init("hill");
+  SweEnsemble runner(cfg, std::move(opts), "hill");
   FieldD& live = runner.member(1).state(0).f("h");
   FieldD snapshot = live;  // copy: must deep-copy
   EXPECT_FALSE(snapshot.is_view());
@@ -142,6 +142,76 @@ TEST(EnsembleArena, FieldCopyOfViewOwnsItsStorage) {
   live.copy_from(snapshot);  // restore writes back *through* the view
   EXPECT_EQ(live(0, 0, 0), before);
   EXPECT_TRUE(live.is_view());
+}
+
+// --- Clones of an initialised member ----------------------------------------
+
+/// Every catalog field of every rank — halos, metrics and intermediates
+/// included — of `a` and `b` has the same bits.
+template <class Model>
+void expect_models_bitwise(const Model& a, const Model& b, const std::string& what) {
+  ASSERT_EQ(a.num_ranks(), b.num_ranks());
+  for (int r = 0; r < a.num_ranks(); ++r) {
+    const FieldCatalog& ca = a.state(r).catalog();
+    const FieldCatalog& cb = b.state(r).catalog();
+    ASSERT_EQ(ca.names(), cb.names()) << what << " rank " << r;
+    for (const std::string& name : ca.names()) {
+      EXPECT_TRUE(verify::compare_fields_bitwise(name, ca.at(name), cb.at(name)).ok)
+          << what << " rank " << r << " field " << name;
+    }
+  }
+}
+
+template <class Model>
+void expect_clone_equals_fresh(const typename Model::Config& cfg, const std::string& ic) {
+  Model source(cfg, 6);
+  source.init(ic);
+  MemberArena arena(2);
+  const Model clone(source, [&](int rank) { return arena.placer(1, rank); });
+  Model fresh(cfg, 6);
+  fresh.init(ic);
+  expect_models_bitwise(clone, fresh, std::string(Model::core_name) + " clone");
+  // Shared, not rebuilt: one program and one geometry per rank.
+  EXPECT_EQ(clone.shared_program(), source.shared_program());
+  for (int r = 0; r < clone.num_ranks(); ++r) {
+    EXPECT_EQ(&clone.state(r).geometry(), &source.state(r).geometry());
+    EXPECT_TRUE(clone.state(r).f("u").is_view());
+  }
+}
+
+TEST(EnsembleClone, CloneEqualsFreshModelForBothCores) {
+  expect_clone_equals_fresh<swe::SweModel>(small_swe(), "vortex");
+  expect_clone_equals_fresh<fv3::DistributedModel>(small_dycore(), "baro");
+}
+
+TEST(EnsembleClone, ProgramOutlivesItsFirstBatch) {
+  // A program built by one batch keeps running correctly after that batch
+  // and every member state it was built with are gone.
+  const swe::SweConfig cfg = small_swe();
+  for (exec::ExecBackend backend : {exec::ExecBackend::OpenMP, exec::ExecBackend::Jit}) {
+    EnsembleOptions opts;
+    opts.run.backend = backend;
+    std::shared_ptr<ir::Program> program;
+    {
+      opts.members = default_members(0x0B1, 3);
+      SweEnsemble first(cfg, opts, "hill");
+      first.run(1);
+      program = first.member(0).shared_program();
+    }
+    ASSERT_EQ(program.use_count(), 1);
+    opts.members = default_members(0x0B2, 3);
+    SweEnsemble second(cfg, opts, "vortex", program);
+    EXPECT_EQ(second.member(2).shared_program(), program);
+    second.run(2);
+    for (int m = 0; m < second.members(); ++m) {
+      auto solo = solo_member<swe::SweModel>(cfg, 6, opts.run, "vortex", opts.members[m],
+                                             opts.amplitude);
+      for (int s = 0; s < 2; ++s) solo->step();
+      expect_models_bitwise(second.member(m), *solo,
+                            std::string(exec::backend_name(backend)) + " member " +
+                                std::to_string(m));
+    }
+  }
 }
 
 // --- Batched vs solo (the tentpole contract) --------------------------------
@@ -204,8 +274,7 @@ TEST(EnsembleBatched, MemberBatchChunkingIsBitwiseInvariant) {
     EnsembleOptions opts;
     opts.members = default_members(9, 5);
     opts.run.member_batch = member_batch;
-    auto runner = std::make_unique<SweEnsemble>(cfg, std::move(opts));
-    runner->init("jet");
+    auto runner = std::make_unique<SweEnsemble>(cfg, std::move(opts), "jet");
     runner->run(2);
     return runner;
   };
@@ -258,8 +327,7 @@ TEST(EnsembleBatched, BatchedAt24Ranks) {
 TEST(EnsembleBatched, MemberStepsAccounting) {
   EnsembleOptions opts;
   opts.members = default_members(1, 4);
-  SweEnsemble runner(small_swe(), std::move(opts));
-  runner.init("hill");
+  SweEnsemble runner(small_swe(), std::move(opts), "hill");
   runner.run(3);
   EXPECT_EQ(runner.member_steps(), 12);
 }
@@ -277,8 +345,7 @@ TEST(EnsembleResilient, CrashedRankMidBatchRecoversBitwise) {
   faults.fail_rank = 2;
   faults.fail_step = 1;
   opts.runtime.faults = faults;
-  SweEnsemble runner(cfg, std::move(opts));
-  runner.init("hill");
+  SweEnsemble runner(cfg, std::move(opts), "hill");
   const comm::RunReport report = runner.run_resilient(steps);
   ASSERT_TRUE(report.ok) << report.failure;
   EXPECT_EQ(report.steps_completed, steps);
@@ -309,8 +376,7 @@ TEST(EnsembleTune, TuningRunsOnLiveStateWithoutPerturbingIt) {
   opts.members = default_members(0x7E57, 5);
   opts.run.backend = exec::ExecBackend::Tape;
 
-  EnsembleRunner<swe::SweModel> tuned(cfg, opts);
-  tuned.init("vortex");
+  EnsembleRunner<swe::SweModel> tuned(cfg, opts, "vortex");
   const MemberBatchTuning tuning = tune_member_batch(tuned, {0, 1, 2}, /*reps=*/1);
   EXPECT_EQ(tuning.timings.size(), 3u);
   EXPECT_TRUE(tuning.best == 0 || tuning.best == 1 || tuning.best == 2);
@@ -320,8 +386,7 @@ TEST(EnsembleTune, TuningRunsOnLiveStateWithoutPerturbingIt) {
   // a reference ensemble advanced the same count must match bitwise.
   const long steps_taken = tuned.member_steps() / tuned.members();
   EXPECT_EQ(steps_taken, 6);
-  EnsembleRunner<swe::SweModel> reference(cfg, opts);
-  reference.init("vortex");
+  EnsembleRunner<swe::SweModel> reference(cfg, opts, "vortex");
   reference.run(static_cast<int>(steps_taken));
   for (int m = 0; m < tuned.members(); ++m) {
     for (int r = 0; r < tuned.member(m).num_ranks(); ++r) {
@@ -539,6 +604,97 @@ TEST(ForecastService, DycoreRequestServed) {
   ASSERT_EQ(r.members.size(), 2u);
   // u, v, w, delp, pt, delz, q0
   EXPECT_EQ(r.members[0].fields.size(), 7u);
+}
+
+// --- Per-worker program cache -----------------------------------------------
+
+ForecastRequest swe_shape(int npx, uint64_t seed, int steps = 1) {
+  ForecastRequest r = swe_request("hill", 2, seed, steps);
+  r.npx = npx;
+  r.ntracers = 1;
+  r.backend = exec::ExecBackend::Jit;
+  return r;
+}
+
+ForecastResult serve(ForecastService& service, const ForecastRequest& request) {
+  ForecastResult result = service.submit(request).result.get();
+  EXPECT_TRUE(result.ok) << result.error;
+  return result;
+}
+
+void expect_same_members(const ForecastResult& a, const ForecastResult& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.members.size(), b.members.size()) << what;
+  for (size_t m = 0; m < a.members.size(); ++m) {
+    EXPECT_EQ(a.members[m].spec, b.members[m].spec) << what;
+    EXPECT_EQ(a.members[m].fields, b.members[m].fields) << what << " member " << m;
+  }
+}
+
+TEST(ForecastServiceCache, WarmWorkerEqualsFreshService) {
+  const ForecastRequest request = swe_shape(12, 0xCAC4E, 2);
+  ForecastService fresh;
+  const ForecastResult reference = serve(fresh, request);
+  EXPECT_FALSE(reference.program_cached);
+
+  // Warm the worker with other shapes and other seeds of this shape.
+  ForecastService warm;
+  serve(warm, swe_shape(8, 1));
+  serve(warm, swe_shape(12, 2, 1));
+  ForecastRequest dycore;
+  dycore.core = "dycore";
+  dycore.ic = "baro";
+  dycore.npx = 8;
+  dycore.npz = 4;
+  dycore.seed = 3;
+  serve(warm, dycore);
+  const ForecastResult cached = serve(warm, request);
+  EXPECT_TRUE(cached.program_cached);
+  expect_same_members(cached, reference, "cached program");
+
+  // More distinct shapes than one worker keeps evict the request's shape.
+  for (int s = 0; s < ForecastService::kProgramsPerWorker; ++s) {
+    EXPECT_FALSE(serve(warm, swe_shape(14 + 2 * s, 4)).program_cached);
+  }
+  const ForecastResult rebuilt = serve(warm, request);
+  EXPECT_FALSE(rebuilt.program_cached);
+  expect_same_members(rebuilt, reference, "after eviction");
+  // The most recently served shapes are still cached.
+  EXPECT_TRUE(serve(warm, swe_shape(14 + 2 * (ForecastService::kProgramsPerWorker - 1), 5))
+                  .program_cached);
+}
+
+TEST(ForecastServiceCache, TwoWorkersKeepTheirOwnPrograms) {
+  ForecastService::Options options;
+  options.workers = 2;
+  ForecastService service(options);
+  // Two shapes interleaved; distinct step counts keep every request in its
+  // own batch.
+  std::vector<ForecastRequest> requests;
+  for (int i = 0; i < 8; ++i) requests.push_back(swe_shape(i % 2 == 0 ? 8 : 10, 40 + i, 1 + i));
+  std::vector<ForecastService::Ticket> tickets;
+  for (const ForecastRequest& r : requests) tickets.push_back(service.submit(r));
+  std::vector<ForecastResult> results;
+  for (auto& t : tickets) results.push_back(t.result.get());
+
+  std::vector<size_t> order(results.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return results[a].sequence < results[b].sequence; });
+  std::vector<std::vector<int>> seen(2);  // shapes (npx) each worker has built
+  for (size_t i : order) {
+    const ForecastResult& r = results[i];
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_TRUE(r.worker == 0 || r.worker == 1);
+    std::vector<int>& built = seen[static_cast<size_t>(r.worker)];
+    const bool seen_before =
+        std::find(built.begin(), built.end(), requests[i].npx) != built.end();
+    EXPECT_EQ(r.program_cached, seen_before) << "request " << i << " worker " << r.worker;
+    if (!seen_before) built.push_back(requests[i].npx);
+
+    ForecastService reference;
+    expect_same_members(r, serve(reference, requests[i]), "request " + std::to_string(i));
+  }
 }
 
 // --- Chaos: crashed rank mid-batch recovers and stays bitwise ---------------
